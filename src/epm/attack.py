@@ -108,7 +108,6 @@ def attack_dhdp(
     gb: EpmMatrix,
     *,
     counter: OpCounter | None = None,
-    backend: str | None = None,
 ) -> EpmMatrix:
     """Recover the shared secret of an honest session from public data only.
 
@@ -117,7 +116,7 @@ def attack_dhdp(
     Raises InconsistentSystem when GA is not of the honest masked form.
     """
     asys = build_attack_system(m_mat, x, ga)
-    sol = howell_solve(asys.sys, with_kernel=False, counter=counter, backend=backend)
+    sol = howell_solve(asys.sys, with_kernel=False, counter=counter)
     return apply_weights(m_mat, gb, sol.particular)
 
 
@@ -126,7 +125,6 @@ def attack_egdp(
     ct: EgdpCiphertext,
     *,
     counter: OpCounter | None = None,
-    backend: str | None = None,
 ) -> EpmMatrix:
     """Recover the plaintext from a public key and a ciphertext.
 
@@ -134,7 +132,7 @@ def attack_egdp(
     ciphertext mask F, reproduce the blinding term exactly.
     """
     asys = build_attack_system(pub.M, pub.N, pub.E)
-    sol = howell_solve(asys.sys, with_kernel=False, counter=counter, backend=backend)
+    sol = howell_solve(asys.sys, with_kernel=False, counter=counter)
     return ct.D - apply_weights(pub.M, ct.F, sol.particular)
 
 

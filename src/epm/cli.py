@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -227,7 +228,9 @@ def _cmd_demo_zhang(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="epm",
         description="Mixed-modulus matrix-ring protocols and the attack on them.",
@@ -298,9 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for bad flags; normalise to int.
         return int(exc.code) if exc.code else 0

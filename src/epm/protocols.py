@@ -191,8 +191,8 @@ def matrix_to_parameters(a: EpmMatrix) -> tuple[int, ...]:
 class CentralizerSampler:
     """Draws elements commuting with a fixed matrix.
 
-    Solves the lifted commutation system once; each sample is a uniformly
-    weighted combination of the kernel generators mapped back to a matrix.
+    Solves the lifted commutation system once; each sample is a random
+    solution of it, a uniformly weighted kernel combination, as a matrix.
     The kernel always contains the parameter vectors of the central diagonal
     matrices, so the sample space is never empty.  The induced distribution
     over the centralizer is not claimed uniform.
@@ -202,17 +202,11 @@ class CentralizerSampler:
         self.m_mat = m_mat
         self.params = m_mat.params
         self.system = commutation_system(m_mat)
-        self.kernel = howell_solve(self.system).kernel
+        self.solutions = howell_solve(self.system)
+        self.kernel = self.solutions.kernel
 
     def sample(self, rng) -> EpmMatrix:
-        q = self.params.modulus
-        n = self.params.m ** 2
-        t = [0] * n
-        for gen in self.kernel:
-            w = rng.randrange(q)
-            if w:
-                t = [(a + w * g) % q for a, g in zip(t, gen)]
-        return matrix_from_parameters(self.params, t)
+        return matrix_from_parameters(self.params, self.solutions.random_solution(rng))
 
 
 def centralizer_sample(m_mat: EpmMatrix, rng) -> EpmMatrix:

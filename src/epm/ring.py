@@ -348,14 +348,10 @@ def solve_combination(
     target: EpmMatrix,
     *,
     counter: OpCounter | None = None,
-    backend: str | None = None,
 ) -> tuple[int, ...]:
     """One coefficient vector expressing target over the basis, if any."""
     sol = howell_solve(
-        combination_system(basis, target),
-        with_kernel=False,
-        counter=counter,
-        backend=backend,
+        combination_system(basis, target), with_kernel=False, counter=counter
     )
     return sol.particular
 

@@ -10,12 +10,14 @@ multipliers stay integral).  Whenever a pivot has positive valuation v, the
 row ``p^(m-v) * pivot_row`` is fed back in as a fresh candidate: these
 "completion" rows are redundant as equations but create the extra pivots that
 make bottom-up back-substitution and kernel extraction correct over a ring
-with torsion.
+with torsion.  The particular solution and every kernel generator are then
+back-substituted together as the columns of one block.
 
-Three interchangeable row backends share the same pivot sequence and produce
-bit-identical results: arbitrary-precision Python integers (always correct),
-numpy uint64 with wraparound for p = 2 and m <= 64, and numpy int64 for odd
-prime powers below 2^31.
+One elimination routine runs on whole numpy arrays in one of three dtypes,
+chosen by the modulus: uint64 with wraparound for p = 2 and m <= 64, int64
+for moduli up to 2^31, and ``object`` (arbitrary-precision Python integers)
+otherwise.  The pivot sequence, the results and the operation count are the
+same in every dtype.
 """
 
 from __future__ import annotations
@@ -111,28 +113,20 @@ class PrimePower:
     @cached_property
     def row_moduli(self) -> tuple[int, ...]:
         """(p^1, p^2, ..., p^m)."""
-        out, q = [], 1
-        for _ in range(self.m):
-            q *= self.p
-            out.append(q)
-        return tuple(out)
+        return tuple(self.p**i for i in range(1, self.m + 1))
 
 
 def valuation(x: int, params: PrimePower) -> int:
     """Largest v <= m with p^v dividing x; m exactly when x is 0 mod p^m."""
+    p = params.p
     x %= params.modulus
     if x == 0:
         return params.m
-    return _val(x, params.p)
-
-
-def _val(e: int, p: int) -> int:
-    # e > 0
     if p == 2:
-        return (e & -e).bit_length() - 1
+        return (x & -x).bit_length() - 1
     v = 0
-    while e % p == 0:
-        e //= p
+    while x % p == 0:
+        x //= p
         v += 1
     return v
 
@@ -140,9 +134,9 @@ def _val(e: int, p: int) -> int:
 class OpCounter:
     """Accumulates the solver's count of multiplications mod p^m.
 
-    The count is deterministic for a fixed input and identical across row
-    backends: every row operation is charged by its slice width whether or
-    not individual entries happen to be zero.
+    The count is deterministic for a fixed input and identical in every
+    dtype the solver runs in: every row operation is charged by its slice
+    width whether or not individual entries happen to be zero.
     """
 
     __slots__ = ("muls",)
@@ -212,149 +206,109 @@ class SolutionSet:
         return tuple(x)
 
 
-# ---------------------------------------------------------------------------
-# Row backends.  Rows are stored augmented: c coefficient entries then rhs.
-# ---------------------------------------------------------------------------
+#: Rows per in-place elimination update.  Bounds the temporaries, which on the
+#: object path hold one Python int per entry.
+_CHUNK_ROWS = 32
 
 
-class _PyRows:
-    """Arbitrary-precision rows; the reference backend."""
+def _arith(params: PrimePower, backend):
+    """(dtype, in-place reduction mod q, row @ block mod q) for the modulus.
 
-    def __init__(self, q: int):
-        self.q = q
-
-    def make_row(self, values):
-        q = self.q
-        return [int(v) % q for v in values]
-
-    def entry(self, row, j) -> int:
-        return row[j]
-
-    def scale_inplace(self, row, s, start):
-        q = self.q
-        for j in range(start, len(row)):
-            row[j] = row[j] * s % q
-
-    def submul_inplace(self, row, mult, prow, start):
-        q = self.q
-        for j in range(start, len(row)):
-            row[j] = (row[j] - mult * prow[j]) % q
-
-    def scaled_copy(self, row, s, start):
-        q = self.q
-        out = [0] * len(row)
-        for j in range(start, len(row)):
-            out[j] = row[j] * s % q
-        return out
-
-    def iszero_from(self, row, start) -> bool:
-        return all(v == 0 for v in row[start:])
-
-    def dot(self, row, x, start, end) -> int:
-        return sum(row[j] * x[j] for j in range(start, end)) % self.q
-
-    def x_zeros(self, n):
-        return [0] * n
-
-    def x_set(self, x, j, v):
-        x[j] = v
-
-    def x_tuple(self, x):
-        return tuple(x)
-
-
-class _U64Rows:
-    """uint64 rows for p = 2, m <= 64: 2^m divides 2^64, so C wraparound
-    followed by masking is exact."""
-
-    def __init__(self, q: int):
-        self.mask = np.uint64(q - 1)
-
-    def make_row(self, values):
-        return np.array(values, dtype=np.uint64)
-
-    def entry(self, row, j) -> int:
-        return int(row[j])
-
-    def scale_inplace(self, row, s, start):
-        row[start:] = (row[start:] * np.uint64(s)) & self.mask
-
-    def submul_inplace(self, row, mult, prow, start):
-        row[start:] = (row[start:] - prow[start:] * np.uint64(mult)) & self.mask
-
-    def scaled_copy(self, row, s, start):
-        out = np.zeros(len(row), dtype=np.uint64)
-        out[start:] = (row[start:] * np.uint64(s)) & self.mask
-        return out
-
-    def iszero_from(self, row, start) -> bool:
-        return not row[start:].any()
-
-    def dot(self, row, x, start, end) -> int:
-        return int((row[start:end] * x[start:end]).sum(dtype=np.uint64) & self.mask)
-
-    def x_zeros(self, n):
-        return np.zeros(n, dtype=np.uint64)
-
-    def x_set(self, x, j, v):
-        x[j] = np.uint64(v)
-
-    def x_tuple(self, x):
-        return tuple(int(v) for v in x)
-
-
-class _I64Rows:
-    """int64 rows for q <= 2^31: products stay below 2^62."""
-
-    def __init__(self, q: int):
-        self.q = q
-
-    def make_row(self, values):
-        return np.array(values, dtype=np.int64)
-
-    def entry(self, row, j) -> int:
-        return int(row[j])
-
-    def scale_inplace(self, row, s, start):
-        row[start:] = (row[start:] * s) % self.q
-
-    def submul_inplace(self, row, mult, prow, start):
-        row[start:] = (row[start:] - prow[start:] * mult) % self.q
-
-    def scaled_copy(self, row, s, start):
-        out = np.zeros(len(row), dtype=np.int64)
-        out[start:] = (row[start:] * s) % self.q
-        return out
-
-    def iszero_from(self, row, start) -> bool:
-        return not row[start:].any()
-
-    def dot(self, row, x, start, end) -> int:
-        return int(((row[start:end] * x[start:end]) % self.q).sum() % self.q)
-
-    def x_zeros(self, n):
-        return np.zeros(n, dtype=np.int64)
-
-    def x_set(self, x, j, v):
-        x[j] = v
-
-    def x_tuple(self, x):
-        return tuple(int(v) for v in x)
-
-
-def _make_rowops(params: PrimePower, backend):
+    uint64 for p = 2, m <= 64: 2^m divides 2^64, so masking after C
+    wraparound is exact.  int64 for q <= 2^31: products stay below 2^62.
+    Python ints in an object array otherwise, or when ``backend="python"``.
+    """
     q = params.modulus
-    if backend == "python":
-        return _PyRows(q)
-    if backend in (None, "auto", "numpy"):
-        if params.p == 2 and params.m <= 64:
-            return _U64Rows(q)
-        if q <= 2**31:
-            return _I64Rows(q)
-        if backend == "numpy":
-            raise ValueError("modulus too large for the numpy backend")
-        return _PyRows(q)
-    raise ValueError(f"unknown backend {backend!r}")
+    if backend not in (None, "numpy", "python"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend != "python" and params.p == 2 and params.m <= 64:
+        mask = np.uint64(q - 1)
+        return (
+            np.uint64,
+            lambda a: np.bitwise_and(a, mask, out=a),
+            lambda row, block: row @ block & mask,
+        )
+    if backend != "python" and q <= 2**31:
+        return (
+            np.int64,
+            lambda a: np.remainder(a, q, out=a),
+            lambda row, block: (row[:, None] * block % q).sum(axis=0) % q,
+        )
+    if backend == "numpy":
+        raise ValueError("modulus too large for the numpy backend")
+    return (
+        object,
+        lambda a: np.remainder(a, q, out=a),
+        lambda row, block: row @ block % q,
+    )
+
+
+def _find_pivot(column, p: int):
+    """(valuation, index) of the earliest entry of minimal p-adic valuation,
+    or None when the column is zero."""
+    if not column.any():
+        return None
+    if p == 2:
+        # A bit test: p^(v+1) itself overflows uint64 at m = 64.
+        acc = int(np.bitwise_or.reduce(column))
+        v = (acc & -acc).bit_length() - 1
+        hit = column & (1 << v) != 0
+    else:
+        v, pk = 0, p
+        while not (hit := column % pk != 0).any():
+            v, pk = v + 1, pk * p
+    return v, int(hit.argmax())
+
+
+def _echelon(system: ZpmSystem, dtype, reduce, counter: OpCounter):
+    """Eliminate column by column; return the normalised pivot rows and the
+    (column, valuation) of each, or raise InconsistentSystem."""
+    p, m, q = system.params.p, system.params.m, system.params.modulus
+    c = system.cols
+    # Rows are augmented: c coefficients, then the rhs.  The n candidate rows
+    # stay compacted at the top of `cand`, in candidate order; a pivot removes
+    # one and adds at most one completion row.
+    cand = np.array([row + (b,) for row, b in zip(system.coeffs, system.rhs)], dtype)
+    n = system.rows
+    prows = np.zeros((c, c + 1), dtype)
+    pivots = []  # (column, valuation) of prows[0], prows[1], ...
+    for col in range(c):
+        found = _find_pivot(cand[:n, col], p)
+        if found is None:
+            continue
+        v, i = found
+        prow = prows[len(pivots)]
+        prow[:] = cand[i]
+        cand[i : n - 1] = cand[i + 1 : n]
+        n -= 1
+        # Clear the freed slot: a completion row written there needs zeros
+        # before col, and a stale copy would keep Python ints alive.
+        cand[n] = 0
+        pv = p**v
+        unit = int(prow[col]) // pv
+        if unit != 1:
+            prow[col:] *= pow(unit, -1, q)
+            reduce(prow[col:])
+        # Zero entries get a zero multiplier rather than a skip, so the count
+        # is the elimination's full cubic operation count.
+        counter.add((c + 1 - col) * (1 + n))
+        for s in range(0, n, _CHUNK_ROWS):
+            block = cand[s : min(s + _CHUNK_ROWS, n), col:]
+            block -= block[:, :1] // pv * prow[col:]
+            reduce(block)
+        pivots.append((col, v))
+        if v > 0:
+            counter.add(c + 1 - col)
+            cand[n, col:] = prow[col:] * p ** (m - v)
+            reduce(cand[n, col:])
+            if cand[n, col + 1 :].any():
+                n += 1
+
+    # Leftover candidates have zero coefficients: every column was either
+    # pivoted (entry eliminated exactly) or skipped (entries already zero).
+    if cand[:n, c].any():
+        raise InconsistentSystem("contradictory zero row")
+    return prows, pivots
 
 
 def howell_solve(
@@ -369,97 +323,52 @@ def howell_solve(
     Returns a SolutionSet whose particular + kernel span exactly the full
     solution set.  Deterministic: pivots are chosen by minimal p-adic
     valuation, earliest candidate row on ties, and the result is identical
-    for every backend.  ``with_kernel=False`` skips kernel generation when
-    only the particular solution is needed.
+    for every ``backend``: None picks the dtype from the modulus, "numpy"
+    refuses moduli no machine integer holds, "python" forces Python ints.
+    ``with_kernel=False`` skips kernel generation when only the particular
+    solution is needed.
     """
     params = system.params
-    p, m, q = params.p, params.m, params.modulus
+    p, m, c = params.p, params.m, system.cols
     if counter is None:
         counter = OpCounter()
-    ops = _make_rowops(params, backend)
-    c = system.cols
+    dtype, reduce, rowblock = _arith(params, backend)
+    prows, pivots = _echelon(system, dtype, reduce, counter)
 
-    cands = [ops.make_row(list(row) + [b]) for row, b in zip(system.coeffs, system.rhs)]
-    pivots = []  # (column, valuation, normalised augmented row)
-    for col in range(c):
-        best_v = best_i = None
-        for i, row in enumerate(cands):
-            e = ops.entry(row, col)
-            if e == 0:
-                continue
-            v = _val(e, p)
-            if best_v is None or v < best_v:
-                best_v, best_i = v, i
-                if v == 0:
-                    break
-        if best_i is None:
-            continue
-        prow = cands.pop(best_i)
-        pv = p**best_v
-        unit = ops.entry(prow, col) // pv
-        if unit != 1:
-            ops.scale_inplace(prow, pow(unit, -1, q), col)
-        counter.add(c + 1 - col)
-        for row in cands:
-            # Zero entries get a zero multiplier rather than a skip: the
-            # update pass runs for every candidate row, so the counter
-            # reflects the elimination's full cubic operation count.
-            ops.submul_inplace(row, ops.entry(row, col) // pv, prow, col)
-            counter.add(c + 1 - col)
-        pivots.append((col, best_v, prow))
-        if best_v > 0:
-            comp = ops.scaled_copy(prow, p ** (m - best_v), col)
-            counter.add(c + 1 - col)
-            if not ops.iszero_from(comp, col + 1):
-                cands.append(comp)
-
-    # Leftover candidates have zero coefficients: every column was either
-    # pivoted (entry eliminated exactly) or skipped (entries already zero).
-    for row in cands:
-        if ops.entry(row, c) != 0:
-            raise InconsistentSystem("contradictory zero row")
-
-    particular = ops.x_tuple(
-        _back_substitute(ops, pivots, c, p, q, counter, use_rhs=True)
-    )
-
-    kernel = []
+    # One back-substitution for a block of x: column 0 is the particular
+    # solution, the others are kernel generators seeded with 1 at each free
+    # column, then with p^(m-v) at each torsion pivot.
+    seeds = []
     if with_kernel:
-        pivot_cols = {col for col, _, _ in pivots}
-        for f in range(c):
-            if f in pivot_cols:
-                continue
-            x = _back_substitute(ops, pivots, c, p, q, counter, seed=(f, 1))
-            kernel.append(ops.x_tuple(x))
-        for col, v, _ in pivots:
-            if v == 0:
-                continue
-            x = _back_substitute(
-                ops, pivots, c, p, q, counter, seed=(col, p ** (m - v))
-            )
-            kernel.append(ops.x_tuple(x))
-
-    return SolutionSet(params, particular, tuple(kernel))
-
-
-def _back_substitute(ops, pivots, c, p, q, counter, seed=None, use_rhs=False):
-    x = ops.x_zeros(c)
-    if seed is not None:
-        ops.x_set(x, seed[0], seed[1])
-    for col, v, row in reversed(pivots):
-        if seed is not None and col == seed[0]:
-            continue  # pre-assigned torsion coordinate
-        acc = ops.dot(row, x, col + 1, c)
+        pivot_cols = {col for col, _ in pivots}
+        seeds = [(f, 1) for f in range(c) if f not in pivot_cols]
+        seeds += [(col, p ** (m - v)) for col, v in pivots if v > 0]
+    x = np.zeros((c, 1 + len(seeds)), dtype)
+    for j, (col, value) in enumerate(seeds, start=1):
+        x[col, j] = value
+    # Torsion pivot column -> its generator (seed p^(m-v) > 1), whose seed stays.
+    kept = {col: j for j, (col, value) in enumerate(seeds, start=1) if value != 1}
+    for k in reversed(range(len(pivots))):
+        col, v = pivots[k]
         counter.add(c - col - 1)
-        d = (ops.entry(row, c) - acc) % q if use_rhs else (-acc) % q
-        if d == 0:
-            continue
-        pv = p**v
-        if d % pv:
-            # Completion rows guarantee this never fires on homogeneous runs.
-            raise InconsistentSystem(f"no preimage for pivot column {col}")
-        ops.x_set(x, col, d // pv)
-    return x
+        d = -rowblock(prows[k, col + 1 : c], x[col + 1 :])
+        d[:1] += prows[k, c:]
+        reduce(d)
+        if col in kept:
+            d[kept[col]] = 0
+        if v > 0:
+            if (d % p**v).any():
+                # Completion rows guarantee this never fires on kernel columns.
+                raise InconsistentSystem(f"no preimage for pivot column {col}")
+            d //= p**v
+        x[col] += d
+    # The generators' share, charged as separate passes would be: a torsion
+    # generator skips its own pivot row.
+    width = sum(c - col - 1 for col, _ in pivots)
+    counter.add(width * len(seeds) - sum(c - col - 1 for col in kept))
+
+    cols = [tuple(x[:, j].tolist()) for j in range(x.shape[1])]
+    return SolutionSet(params, cols[0], tuple(cols[1:]))
 
 
 def is_solution(system: ZpmSystem, x: Sequence[int]) -> bool:

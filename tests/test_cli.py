@@ -1,10 +1,11 @@
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
 from epm.cli import cli_main
-from epm.protocols import DhdpPublic
+from epm.protocols import DhdpPublic, commutation_system
 from epm.ring import EpmMatrix, central_matrix, random_matrix
 from epm.serialize import (
     dhdp_transcript_file,
@@ -13,7 +14,7 @@ from epm.serialize import (
     secret_file,
     write_transcript,
 )
-from epm.zpmsolve import PrimePower
+from epm.zpmsolve import OpCounter, PrimePower, howell_solve
 
 import random
 
@@ -73,6 +74,47 @@ def test_cli_outputs_are_byte_identical_per_seed(workdir):
     s = workdir / "sc.epm"
     run(["simulate", "--params", params_file, "--seed", 14, "--out", t, "--secret-out", s])
     assert t.read_bytes() != outs[0][0]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# SHA-256 of the params, transcript and secret files written by
+# `gen --seed 17` and `simulate --seed 17`, recorded with the per-row solver
+# that preceded the whole-array one.
+PINNED_FILES = {
+    (2, 5): (
+        "a0e3bdc0a3148ee12c818a332631e43e2120e40b175bef5be8e728d1fb4caff9",
+        "a317034285dfef53a8b41e858cfeedcc22cf3e0768e6c6a2ee1f300bf9d0ded5",
+        "ef3f463ce0a23e3b2fecbfaa266d78a550772ac82f483b8a73b7f4918e0f1c9f",
+    ),
+    (5, 3): (
+        "99fee4c27844a6e6925714351f3f7c11acb89037f3761ed06cc1bca8f47f75a2",
+        "e08022ca56b9c703070fbe41bd2b9a8fa2eb3d78b674b6f7e38232e0a80f10c2",
+        "cdfab2f1e81e778a3c509c44e93bef5858667aa31fb072d81dbfae4703d46601",
+    ),
+}
+PINNED_KERNEL_MULS = 44424
+PINNED_KERNEL_DIGEST = "aa51a04a0b7f148f70ed5ee950288f80e02fbaa95fcc45cda10d38db37610dc6"
+
+
+def test_outputs_match_pinned_digests(workdir):
+    for (p, m), expected in PINNED_FILES.items():
+        files = [workdir / f"{name}-{p}-{m}.epm" for name in ("params", "t", "s")]
+        assert run(["gen", "--p", p, "--m", m, "--seed", 17, "--out", files[0]]) == 0
+        assert run(
+            ["simulate", "--params", files[0], "--seed", 17, "--out", files[1],
+             "--secret-out", files[2]]
+        ) == 0
+        assert tuple(_sha256(f.read_bytes()) for f in files) == expected
+
+    system = commutation_system(random_matrix(PrimePower(2, 6), random.Random(1)))
+    for backend in (None, "python"):
+        counter = OpCounter()
+        sol = howell_solve(system, counter=counter, backend=backend)
+        assert counter.muls == PINNED_KERNEL_MULS
+        assert _sha256(repr((sol.particular, sol.kernel)).encode()) == PINNED_KERNEL_DIGEST
 
 
 def test_egdp_cli_flow(workdir):

@@ -172,17 +172,55 @@ def test_solver_oracle_property(data):
     assert spanned_solutions(sol) == oracle
 
 
+# Moduli on each side of a dtype switch: uint64 up to 2^64, int64 up to 2^31
+# (3^19 < 2^31 < 3^20), Python ints beyond; m = 1 and a 61-bit prime.
+BOUNDARY_MODULI = [(2, 63), (2, 64), (2, 65), (3, 19), (3, 20), (2, 1), (3, 1),
+                   (2**61 - 1, 1)]
+
+
+def _boundary_system(rng, params, rows=4, cols=4):
+    """Entries r * p^v for random r and v, one all-zero column, and one
+    column of multiples of p^(m-1), which puts a pivot at valuation m - 1
+    (the column is zero when m = 1)."""
+    p, m, q = params.p, params.m, params.modulus
+    coeffs = [
+        [rng.randrange(q) * p ** rng.randrange(m + 1) % q for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    zero, torsion = rng.sample(range(cols), 2)
+    for row in coeffs:
+        row[zero] = 0
+        row[torsion] = rng.randrange(q) * p ** max(m - 1, 1) % q
+    if rng.random() < 0.5:
+        x = [rng.randrange(q) for _ in range(cols)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in coeffs]
+    else:
+        rhs = [rng.randrange(q) * p ** rng.randrange(m + 1) for _ in range(rows)]
+    return ZpmSystem(params, tuple(map(tuple, coeffs)), tuple(rhs))
+
+
 def test_backends_agree():
     rng = random.Random(99)
-    for _ in range(120):
-        system = _random_system(rng, p_choices=(2, 3, 5))
+    systems = [_random_system(rng, p_choices=(2, 3, 5)) for _ in range(120)]
+    systems += [
+        _boundary_system(rng, PrimePower(p, m))
+        for p, m in BOUNDARY_MODULI
+        for _ in range(6)
+    ]
+    for system in systems:
         outcomes = []
-        for backend in ("python", "numpy"):
+        # None takes the machine-integer dtype wherever the modulus allows.
+        for backend in ("python", None):
             try:
                 outcomes.append(howell_solve(system, backend=backend))
             except InconsistentSystem:
                 outcomes.append("inconsistent")
         assert outcomes[0] == outcomes[1]
+        if outcomes[0] != "inconsistent":
+            sol = outcomes[0]
+            homogeneous = ZpmSystem(system.params, system.coeffs, (0,) * system.rows)
+            assert is_solution(system, sol.particular)
+            assert all(is_solution(homogeneous, gen) for gen in sol.kernel)
 
 
 def test_backends_count_identically():
