@@ -8,6 +8,14 @@ with GB in the middle reproduces the shared secret, because Bob's masks
 commute past every power of M.  Total cost is one dense solve:
 O((m^2)^3) multiplications mod p^m.
 
+Around the solve, the attack runs on structure-blind array products mod p^m
+(:class:`~epm.ring.PlainArith`), never on m^2 separate ring products.  The
+basis and its lift are one GEMM over the powers of M, O(m^5) operations.
+The weights are applied as sum_i M^i * GB * P_i(M) with
+P_i = sum_j w_ij M^j, which is O(m^4) operations.  :func:`sandwich_basis`
+and :func:`~epm.ring.combination_system` are the ring-level reference
+definitions the array path agrees with bit for bit.
+
 :func:`zhang_system` builds, for demonstration, the defective flat-modulus
 variant of the same idea (digit unknowns for the central coefficients, every
 congruence taken mod p^m with no row rescaling).  That system is genuinely
@@ -22,8 +30,10 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Sequence
 
+import numpy as np
+
 from .protocols import EgdpCiphertext, EgdpPublicKey, run_dhdp_session
-from .ring import EpmMatrix, ParamMismatch, combination_system, _same_params
+from .ring import EpmMatrix, ParamMismatch, PlainArith, _same_params
 from .zpmsolve import OpCounter, PrimePower, ZpmSystem, howell_solve
 
 __all__ = [
@@ -44,13 +54,12 @@ __all__ = [
 class AttackSystem:
     """The lifted m^2 x m^2 system for one transcript.
 
-    Column k of ``sys`` holds the flattened lift of ``basis[k]``; the basis
-    is ordered row-major over the exponent pairs (i, j).
+    Column k of ``sys`` holds the flattened lift of ``sandwich_basis(M,
+    X)[k]``; columns are ordered row-major over the exponent pairs (i, j).
     """
 
     params: PrimePower
     sys: ZpmSystem
-    basis: tuple[EpmMatrix, ...]
 
 
 def sandwich_basis(m_mat: EpmMatrix, center: EpmMatrix) -> tuple[EpmMatrix, ...]:
@@ -78,27 +87,39 @@ def build_attack_system(
 ) -> AttackSystem:
     """Lifted weight system for GA over the products M^i * X * M^j.
 
-    Guaranteed consistent whenever GA was honestly produced by masking X
-    with central-coefficient polynomials in M.
+    Equal to ``combination_system(sandwich_basis(M, X), GA)``, built from
+    array products.  Guaranteed consistent whenever GA was honestly produced
+    by masking X with central-coefficient polynomials in M.
     """
-    _same_params(m_mat, x)
-    _same_params(m_mat, ga)
-    basis = sandwich_basis(m_mat, x)
-    return AttackSystem(m_mat.params, combination_system(basis, ga), basis)
+    params = m_mat.params
+    arith = PlainArith.for_contraction(params, params.m)
+    coeffs = arith.lift(arith.sandwich_basis(arith.powers(m_mat), x))
+    rhs = arith.lift(arith.array(ga))
+    system = ZpmSystem(params, coeffs.tolist(), rhs.ravel().tolist())
+    return AttackSystem(params, system)
 
 
 def apply_weights(
     m_mat: EpmMatrix, center: EpmMatrix, weights: Sequence[int]
 ) -> EpmMatrix:
-    """sum of weights[i*m+j] * M^i * center * M^j."""
-    basis = sandwich_basis(m_mat, center)
-    if len(weights) != len(basis):
-        raise ParamMismatch(f"expected {len(basis)} weights, got {len(weights)}")
-    acc = EpmMatrix.zero(m_mat.params)
-    for w, b in zip(weights, basis):
-        if w:
-            acc = acc + b.scale(w)
-    return acc
+    """sum of weights[i*m+j] * M^i * center * M^j.
+
+    Computed as sum_i M^i * center * P_i(M) with P_i = sum_j w_ij M^j: one
+    GEMM for all P_i and one contracting over (i, k), O(m^4) operations.
+    """
+    params = m_mat.params
+    m, q = params.m, params.modulus
+    if len(weights) != m * m:
+        raise ParamMismatch(f"expected {m * m} weights, got {len(weights)}")
+    arith = PlainArith.for_contraction(params, m * m)
+    powers = arith.powers(m_mat)
+    w = np.array([int(v) % q for v in weights], arith.dtype).reshape(m, m)
+    polys = arith.matmul(w, powers.reshape(m, m * m))  # (i, (k, s))
+    left = arith.matmul(powers, arith.array(center))  # (i, r, k)
+    total = arith.matmul(
+        left.transpose(1, 0, 2).reshape(m, m * m), polys.reshape(m * m, m)
+    )
+    return EpmMatrix.validate(params, total.tolist())
 
 
 def attack_dhdp(
@@ -136,17 +157,6 @@ def attack_egdp(
     return ct.D - apply_weights(pub.M, ct.F, sol.particular)
 
 
-def _plain_product(params: PrimePower, a, b):
-    # Products taken entirely mod p^m, ignoring the row structure: this is
-    # the arithmetic a structure-blind attacker would use.
-    q = params.modulus
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % q for col in cols)
-        for row in a
-    )
-
-
 def zhang_system(
     m_mat: EpmMatrix,
     x: EpmMatrix,
@@ -174,17 +184,10 @@ def zhang_system(
     params = m_mat.params
     p, m, q = params.p, params.m, params.modulus
 
-    # Structure-blind basis: plain mod-p^m products M^i X M^j.
-    plain_m = tuple(tuple(v for v in row) for row in m_mat.rows)
-    plain_powers = [tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))]
-    for _ in range(m - 1):
-        plain_powers.append(_plain_product(params, plain_powers[-1], plain_m))
-    plain_x = tuple(tuple(v for v in row) for row in x.rows)
-    basis = []
-    for i in range(m):
-        left = _plain_product(params, plain_powers[i], plain_x)
-        for j in range(m):
-            basis.append(_plain_product(params, left, plain_powers[j]))
+    # Structure-blind basis: plain mod-p^m products M^i X M^j, one row per
+    # matrix position (r, s).
+    arith = PlainArith.for_contraction(params, m)
+    basis = arith.sandwich_basis(arith.powers(m_mat), x).tolist()
 
     n_unknowns = m * m * m
     rows, rhs = [], []
@@ -192,8 +195,7 @@ def zhang_system(
         scale = p ** (m - 1 - r) if lift_rows else 1
         for s in range(m):
             coeff = [0] * n_unknowns
-            for bi, mat in enumerate(basis):
-                e = mat[r][s]
+            for bi, e in enumerate(basis[r * m + s]):
                 for k in range(r + 1):
                     coeff[bi * m + k] = e * p**k * scale % q
             rows.append(tuple(coeff))

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success; 1 verification mismatch (``verify``, and ``bench``
 when a recovered secret disagrees); 2 malformed input, flags or degenerate
-parameters; 3 an attack system with no solution (the transcript was not
-honestly produced).
+parameters, or an m beyond ``M_LIMIT`` without ``--allow-huge``; 3 an
+attack system with no solution (the transcript was not honestly produced).
 
 All sampling is driven by ``--seed``: the same command line yields the same
 output bytes (``bench`` wall-clock columns excepted).
@@ -54,16 +54,33 @@ from .zpmsolve import InconsistentSystem, PrimePower, howell_solve
 
 __all__ = ["cli_main", "main"]
 
-#: m values above this need --allow-huge: the dense solve is O((m^2)^3).
-BENCH_M_LIMIT = 32
+#: m values above this need --allow-huge: the dense solve is O((m^2)^3) and
+#: the attack's sandwich basis holds m^4 entries.
+M_LIMIT = 32
 
 
-def _read_file(path: str):
+class TooLarge(Exception):
+    """m is beyond M_LIMIT and --allow-huge was not given."""
+
+
+def _check_size(m: int, allow_huge: bool) -> None:
+    if m > M_LIMIT and not allow_huge:
+        raise TooLarge(
+            f"m={m} exceeds the desk-scale limit {M_LIMIT}; "
+            "pass --allow-huge for long runs"
+        )
+
+
+def _read_file(path: str, allow_huge: bool = True):
+    """Parse a file; with ``allow_huge=False``, refuse an m beyond M_LIMIT
+    before any ring or system work is done on its blocks."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-    return parse_transcript(text)
+    tf = parse_transcript(text)
+    _check_size(tf.params.m, allow_huge)
+    return tf
 
 
 def _write_file(path: str, tf) -> None:
@@ -86,7 +103,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    m_mat, x = read_setup(_read_file(args.params))
+    m_mat, x = read_setup(_read_file(args.params, args.allow_huge))
     priv_a, ga = dhdp_alice(m_mat, x, make_rng(args.seed, "alice"))
     priv_b, gb = dhdp_bob(m_mat, x, make_rng(args.seed, "bob"))
     shared = dhdp_shared_alice(priv_a, m_mat, gb)
@@ -98,7 +115,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    pub = read_dhdp_transcript(_read_file(args.transcript))
+    pub = read_dhdp_transcript(_read_file(args.transcript, args.allow_huge))
     recovered = attack_dhdp(pub.M, pub.X, pub.GA, pub.GB)
     _write_file(args.out, secret_file(recovered))
     return 0
@@ -121,7 +138,7 @@ def _cmd_egdp_keygen(args) -> int:
 
 
 def _cmd_egdp_encrypt(args) -> int:
-    pub = read_egdp_public(_read_file(args.pub))
+    pub = read_egdp_public(_read_file(args.pub, args.allow_huge))
     secret = read_secret(_read_file(args.secret))
     if secret.params != pub.params:
         raise ParamMismatch("secret and public key use different parameters")
@@ -138,8 +155,8 @@ def _cmd_egdp_decrypt(args) -> int:
 
 
 def _cmd_egdp_attack(args) -> int:
-    pub = read_egdp_public(_read_file(args.pub))
-    ct = read_ciphertext(_read_file(args.ct))
+    pub = read_egdp_public(_read_file(args.pub, args.allow_huge))
+    ct = read_ciphertext(_read_file(args.ct, args.allow_huge))
     _write_file(args.out, secret_file(attack_egdp(pub, ct)))
     return 0
 
@@ -164,14 +181,8 @@ def _cmd_bench(args) -> int:
         raise ParseError(f"bad --m-list {args.m_list!r}") from None
     if not m_values:
         raise ParseError("--m-list is empty")
-    too_big = [m for m in m_values if m > BENCH_M_LIMIT]
-    if too_big and not args.allow_huge:
-        print(
-            f"m={too_big[0]} exceeds the desk-scale limit {BENCH_M_LIMIT}; "
-            "pass --allow-huge for long runs",
-            file=sys.stderr,
-        )
-        return 2
+    for m in m_values:
+        _check_size(m, args.allow_huge)
     rng = make_rng(args.seed, "bench")
     records = bench_attack([(args.p, m) for m in m_values], args.reps, rng)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -242,6 +253,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
+    def add_allow_huge(p):
+        p.add_argument("--allow-huge", action="store_true",
+                       help=f"permit m beyond {M_LIMIT} (long-running)")
+
     p = add("gen", _cmd_gen, "generate a noncommuting public pair M, X")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -253,10 +268,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--secret-out", required=True)
+    add_allow_huge(p)
 
     p = add("attack", _cmd_attack, "recover the shared secret from a transcript")
     p.add_argument("--transcript", required=True)
     p.add_argument("--out", required=True)
+    add_allow_huge(p)
 
     p = add("egdp-keygen", _cmd_egdp_keygen, "generate an encryption key pair")
     p.add_argument("--p", type=int, required=True)
@@ -270,6 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--secret", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
+    add_allow_huge(p)
 
     p = add("egdp-decrypt", _cmd_egdp_decrypt, "decrypt with the private key")
     p.add_argument("--priv", required=True)
@@ -280,6 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pub", required=True)
     p.add_argument("--ct", required=True)
     p.add_argument("--out", required=True)
+    add_allow_huge(p)
 
     p = add("verify", _cmd_verify, "compare two files; exit 0 iff equal")
     p.add_argument("--a", required=True)
@@ -291,8 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--allow-huge", action="store_true",
-                   help=f"permit m beyond {BENCH_M_LIMIT} (long-running)")
+    add_allow_huge(p)
 
     add("demo-zhang", _cmd_demo_zhang,
         "show the lifted system succeeding where the flat-modulus one fails")
@@ -311,6 +329,9 @@ def cli_main(argv=None) -> int:
     except InconsistentSystem as exc:
         print(f"attack system inconsistent: {exc}", file=sys.stderr)
         return 3
+    except TooLarge as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except (ParseError, NotAMember, ParamMismatch, SetupFailed, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

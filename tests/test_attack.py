@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epm.attack import (
     apply_weights,
@@ -21,7 +22,14 @@ from epm.protocols import (
     run_dhdp_session,
     run_egdp_session,
 )
-from epm.ring import CentralPoly, EpmMatrix, central_matrix
+from epm.ring import (
+    CentralPoly,
+    EpmMatrix,
+    ParamMismatch,
+    central_matrix,
+    combination_system,
+    random_matrix,
+)
 from epm.zpmsolve import (
     InconsistentSystem,
     OpCounter,
@@ -47,6 +55,21 @@ def test_sandwich_basis_matches_direct_products(golden):
     m = golden.params.m
     for idx, (i, j) in enumerate(itertools.product(range(m), repeat=2)):
         assert basis[idx] == golden.M**i * golden.X * golden.M**j
+
+
+@st.composite
+def ring_triples(draw):
+    params = PrimePower(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 6)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return [random_matrix(params, rng) for _ in range(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_triples())
+def test_array_system_equals_the_reference_definition(triple):
+    m_mat, x, ga = triple
+    reference = combination_system(sandwich_basis(m_mat, x), ga)
+    assert build_attack_system(m_mat, x, ga).sys == reference
 
 
 def test_trivial_instance_has_trivial_weights(golden):
@@ -76,6 +99,67 @@ def test_attack_recovers_golden_secret(golden):
 
 def test_known_weights_recover_golden_secret(golden):
     assert apply_weights(golden.M, golden.GB, golden.lam) == golden.shared
+
+
+def _explicit_weighted_sum(m_mat, center, weights):
+    m = m_mat.params.m
+    acc = EpmMatrix.zero(m_mat.params)
+    for (i, j), w in zip(itertools.product(range(m), repeat=2), weights):
+        if w:
+            acc = acc + (m_mat**i * center * m_mat**j).scale(w)
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_triples(), st.data())
+def test_apply_weights_matches_explicit_products(triple, data):
+    m_mat, center, _ = triple
+    m, q = m_mat.params.m, m_mat.params.modulus
+    weights = data.draw(
+        st.lists(st.integers(-2 * q, 2 * q), min_size=m * m, max_size=m * m)
+    )
+    assert apply_weights(m_mat, center, weights) == _explicit_weighted_sum(
+        m_mat, center, weights
+    )
+
+
+@pytest.mark.parametrize(
+    "p,m,dense",
+    [
+        (2, 63, False),
+        (2, 64, False),
+        (3, 17, True),
+        (3, 18, True),
+        (2**61 - 1, 2, True),
+    ],
+)
+def test_apply_weights_at_dtype_boundaries(p, m, dense):
+    # Each case sits just inside or just outside a dtype of the array layer.
+    # Rank-one weights u_i * v_j give the value U * center * V with
+    # U = sum_i u_i M^i.  Dense u, v near q make the int64 contraction's
+    # partial sums as large as they get; on uint64, where wraparound is
+    # exact anyway, three powers keep the ring-side value cheap.
+    params = PrimePower(p, m)
+    q = params.modulus
+    rng = random.Random(p * m)
+    m_mat, center = random_matrix(params, rng), random_matrix(params, rng)
+    n = m if dense else 3
+    u = [q - 1 - rng.randrange(4) for _ in range(n)]
+    v = [q - 1 - rng.randrange(4) for _ in range(n)]
+    weights = [ui * vj for ui in u + [0] * (m - n) for vj in v + [0] * (m - n)]
+    left = CentralPoly(params, u).evaluate(m_mat)
+    right = CentralPoly(params, v).evaluate(m_mat)
+    assert apply_weights(m_mat, center, weights) == left * center * right
+
+
+def test_attack_layer_rejects_mismatched_inputs(golden):
+    other = EpmMatrix.identity(PrimePower(3, 2))
+    with pytest.raises(ParamMismatch):
+        apply_weights(golden.M, golden.GB, (1, 0, 0))
+    with pytest.raises(ParamMismatch):
+        apply_weights(golden.M, other, golden.lam)
+    with pytest.raises(ParamMismatch):
+        build_attack_system(golden.M, golden.X, other)
 
 
 def test_attack_with_trivial_alice_returns_gb(golden):

@@ -5,13 +5,21 @@ import sys
 import pytest
 
 from epm.cli import cli_main
-from epm.protocols import DhdpPublic, commutation_system
+from epm.protocols import (
+    DhdpPublic,
+    EgdpCiphertext,
+    EgdpPublicKey,
+    commutation_system,
+)
 from epm.ring import EpmMatrix, central_matrix, random_matrix
 from epm.serialize import (
+    ciphertext_file,
     dhdp_transcript_file,
+    egdp_public_file,
     parse_transcript,
     read_secret,
     secret_file,
+    setup_file,
     write_transcript,
 )
 from epm.zpmsolve import OpCounter, PrimePower, howell_solve
@@ -169,6 +177,44 @@ def test_exit_3_on_hostile_transcript(workdir, golden):
     t = workdir / "hostile.epm"
     t.write_text(write_transcript(dhdp_transcript_file(pub)), newline="")
     assert run(["attack", "--transcript", t, "--out", workdir / "x.epm"]) == 3
+
+
+def test_oversized_inputs_are_refused_before_any_work(workdir, monkeypatch, capsys):
+    params = PrimePower(2, 33)
+    rng = random.Random(33)
+    m_mat, x, ga, gb = (random_matrix(params, rng) for _ in range(4))
+    files = {
+        "transcript": dhdp_transcript_file(DhdpPublic(m_mat, x, ga, gb)),
+        "setup": setup_file(m_mat, x),
+        "pub": egdp_public_file(EgdpPublicKey(m_mat, x, ga)),
+        "ct": ciphertext_file(EgdpCiphertext(x, gb)),
+        "secret": secret_file(gb),
+    }
+    for name, tf in files.items():
+        (workdir / f"{name}.epm").write_text(write_transcript(tf), newline="")
+    path = {name: workdir / f"{name}.epm" for name in files}
+    out = workdir / "out.epm"
+    commands = [
+        ["attack", "--transcript", path["transcript"], "--out", out],
+        ["simulate", "--params", path["setup"], "--seed", 1, "--out", out,
+         "--secret-out", out],
+        ["egdp-encrypt", "--pub", path["pub"], "--secret", path["secret"],
+         "--seed", 1, "--out", out],
+        ["egdp-attack", "--pub", path["pub"], "--ct", path["ct"], "--out", out],
+    ]
+    for cmd in commands:
+        assert run(cmd) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "m=33 exceeds the desk-scale limit 32; pass --allow-huge for long runs\n"
+        )
+
+    # --allow-huge lets the transcript through; the stub keeps the test short
+    import epm.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "attack_dhdp", lambda m_mat, x, ga, gb: gb)
+    assert run(commands[0] + ["--allow-huge"]) == 0
+    assert read_secret(parse_transcript(out.read_text())) == gb
 
 
 def test_bench_cli(workdir):

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from epm.ring import (
     NotAMember,
     NotInImage,
     ParamMismatch,
+    PlainArith,
     cayley_hamilton_coeffs,
     central_matrix,
     combination_system,
@@ -360,3 +362,49 @@ def test_combination_system_shape(golden):
     assert system.rows == 4 and system.cols == 2
     sol = howell_solve(system)
     assert is_solution(system, sol.particular)
+
+
+# --- structure-blind array products ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "p,m,dtype",
+    [
+        (2, 63, np.uint64),
+        (2, 64, np.uint64),  # q = 2^64: the mask is all ones
+        (2, 65, object),
+        (3, 17, np.int64),  # 17^2 * (3^17 - 1)^2 < 2^63
+        (3, 18, object),
+        (2**61 - 1, 2, object),
+    ],
+)
+def test_plain_arith_dtype_boundaries_match_ring_arithmetic(p, m, dtype):
+    params = PrimePower(p, m)
+    arith = PlainArith.for_contraction(params, m * m)
+    assert arith.dtype is dtype
+    rng = random.Random(p + m)
+    a, b = random_matrix(params, rng), random_matrix(params, rng)
+    # (q-1) * I times b exercises the largest entries the modulus allows.
+    for left in (a, central_matrix(params, -1)):
+        plain = arith.matmul(arith.array(left), arith.array(b))
+        assert plain.dtype == dtype
+        assert EpmMatrix.validate(params, plain.tolist()) == left * b
+        assert arith.lift(plain).tolist() == [list(row) for row in lift(left * b).rows]
+
+
+def test_plain_powers_reduce_to_ring_powers():
+    params = PrimePower(3, 4)
+    arith = PlainArith.for_contraction(params, 4)
+    m_mat = random_matrix(params, random.Random(8))
+    powers = arith.powers(m_mat)
+    for k in range(4):
+        assert EpmMatrix.validate(params, powers[k].tolist()) == m_mat**k
+
+
+def test_plain_lift_rejects_an_entry_below_its_floor(golden):
+    arith = PlainArith.for_contraction(P52, 2)
+    basis = arith.sandwich_basis(arith.powers(golden.M), golden.X)
+    arith.lift(basis)
+    basis[2, 1] += 1  # position (1, 0): its lift must be divisible by 5
+    with pytest.raises(NotInImage, match=r"\(1,0\)"):
+        arith.lift(basis)
