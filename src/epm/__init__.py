@@ -55,7 +55,6 @@ from .protocols import (
     run_egdp_session,
 )
 from .attack import (
-    AttackSystem,
     build_attack_system,
     apply_weights,
     attack_dhdp,

@@ -8,13 +8,17 @@ with GB in the middle reproduces the shared secret, because Bob's masks
 commute past every power of M.  Total cost is one dense solve:
 O((m^2)^3) multiplications mod p^m.
 
-Around the solve, the attack runs on structure-blind array products mod p^m
-(:class:`~epm.ring.PlainArith`), never on m^2 separate ring products.  The
-basis and its lift are one GEMM over the powers of M, O(m^5) operations.
-The weights are applied as sum_i M^i * GB * P_i(M) with
-P_i = sum_j w_ij M^j, which is O(m^4) operations.  :func:`sandwich_basis`
-and :func:`~epm.ring.combination_system` are the ring-level reference
-definitions the array path agrees with bit for bit.
+Around the solve, the attack takes structure-blind products entirely mod
+p^m on whole arrays of :class:`~epm.zpmsolve.Residues`, never m^2 separate
+ring products.  Such a product agrees with the ring product on row i modulo
+p^(i+1), and the lift scales row i by p^(m-1-i), which sends that
+difference to a multiple of p^m.  So both products have the same lift, and
+they are equal once reduced row-wise.  The basis and its lift are one GEMM
+over the powers of M, O(m^5) operations.  The weights are applied as
+sum_i M^i * GB * P_i(M) with P_i = sum_j w_ij M^j, which is O(m^4)
+operations.  :func:`sandwich_basis` and :func:`~epm.ring.combination_system`
+are the ring-level reference definitions the array path agrees with bit for
+bit.
 
 :func:`zhang_system` builds, for demonstration, the defective flat-modulus
 variant of the same idea (digit unknowns for the central coefficients, every
@@ -33,11 +37,10 @@ from typing import Sequence
 import numpy as np
 
 from .protocols import EgdpCiphertext, EgdpPublicKey, run_dhdp_session
-from .ring import EpmMatrix, ParamMismatch, PlainArith, _same_params
-from .zpmsolve import OpCounter, PrimePower, ZpmSystem, howell_solve
+from .ring import EpmMatrix, NotInImage, ParamMismatch, _same_params
+from .zpmsolve import OpCounter, PrimePower, Residues, ZpmSystem, howell_solve
 
 __all__ = [
-    "AttackSystem",
     "sandwich_basis",
     "build_attack_system",
     "apply_weights",
@@ -48,18 +51,6 @@ __all__ = [
     "bench_attack",
     "summarize_bench",
 ]
-
-
-@dataclass(frozen=True)
-class AttackSystem:
-    """The lifted m^2 x m^2 system for one transcript.
-
-    Column k of ``sys`` holds the flattened lift of ``sandwich_basis(M,
-    X)[k]``; columns are ordered row-major over the exponent pairs (i, j).
-    """
-
-    params: PrimePower
-    sys: ZpmSystem
 
 
 def sandwich_basis(m_mat: EpmMatrix, center: EpmMatrix) -> tuple[EpmMatrix, ...]:
@@ -82,21 +73,72 @@ def sandwich_basis(m_mat: EpmMatrix, center: EpmMatrix) -> tuple[EpmMatrix, ...]
     return tuple(out)
 
 
-def build_attack_system(
-    m_mat: EpmMatrix, x: EpmMatrix, ga: EpmMatrix
-) -> AttackSystem:
+def as_array(res: Residues, a: EpmMatrix) -> np.ndarray:
+    _same_params(a, res)
+    return np.array(a.rows, res.dtype)
+
+
+def power_stack(res: Residues, m_mat: EpmMatrix) -> np.ndarray:
+    """M^0, ..., M^(m-1) as one (m, m, m) array: m - 1 matmuls."""
+    m = res.params.m
+    base = as_array(res, m_mat)
+    out = np.empty((m, m, m), res.dtype)
+    out[0] = np.eye(m, dtype=res.dtype)
+    for k in range(1, m):
+        out[k] = res.matmul(out[k - 1], base)
+    return out
+
+
+def basis_array(res: Residues, powers: np.ndarray, center: EpmMatrix) -> np.ndarray:
+    """Entry ((r, s), (i, j)) is entry (r, s) of M^i * center * M^j.
+
+    ``powers`` comes from :func:`power_stack`; the whole basis is one GEMM.
+    """
+    m = res.params.m
+    left = res.matmul(powers, as_array(res, center))  # (i, r, t)
+    right = powers.transpose(1, 0, 2).reshape(m, m * m)  # (t, (j, s))
+    basis = res.matmul(left.reshape(m * m, m), right)
+    return basis.reshape(m, m, m, m).transpose(1, 3, 0, 2).reshape(m * m, m * m)
+
+
+def lift_array(res: Residues, a: np.ndarray) -> np.ndarray:
+    """Row-scaling lift of a stack whose rows are the matrix positions
+    (r, s) in row-major order, as :func:`~epm.ring.lift` does it entry by
+    entry.
+
+    Raises NotInImage when a lifted entry at (r, s) is not divisible by
+    its valuation floor p^max(m-1-r, m-1-s).
+    """
+    p, m = res.params.p, res.params.m
+    shape = a.shape
+    a = a.reshape(m, m, -1)
+    scale = np.array([p ** (m - 1 - r) for r in range(m)], res.dtype)
+    out = res.reduce(a * scale[:, None, None])
+    floor = np.array(
+        [[p ** max(m - 1 - r, m - 1 - s) for s in range(m)] for r in range(m)],
+        res.dtype,
+    )
+    bad = np.argwhere(out % floor[:, :, None] != 0)
+    if len(bad):
+        r, s, _ = bad[0]
+        raise NotInImage(
+            f"lifted entry ({r},{s}) has valuation below {m - 1 - min(r, s)}"
+        )
+    return out.reshape(shape)
+
+
+def build_attack_system(m_mat: EpmMatrix, x: EpmMatrix, ga: EpmMatrix) -> ZpmSystem:
     """Lifted weight system for GA over the products M^i * X * M^j.
 
-    Equal to ``combination_system(sandwich_basis(M, X), GA)``, built from
-    array products.  Guaranteed consistent whenever GA was honestly produced
-    by masking X with central-coefficient polynomials in M.
+    Column k holds the flattened lift of ``sandwich_basis(M, X)[k]``, so the
+    system equals ``combination_system(sandwich_basis(M, X), GA)``; it is
+    built from array products.  Guaranteed consistent whenever GA was
+    honestly produced by masking X with central-coefficient polynomials in M.
     """
-    params = m_mat.params
-    arith = PlainArith.for_contraction(params, params.m)
-    coeffs = arith.lift(arith.sandwich_basis(arith.powers(m_mat), x))
-    rhs = arith.lift(arith.array(ga))
-    system = ZpmSystem(params, coeffs.tolist(), rhs.ravel().tolist())
-    return AttackSystem(params, system)
+    res = Residues.of(m_mat.params)
+    coeffs = lift_array(res, basis_array(res, power_stack(res, m_mat), x))
+    rhs = lift_array(res, as_array(res, ga))
+    return ZpmSystem(res.params, coeffs.tolist(), rhs.ravel().tolist())
 
 
 def apply_weights(
@@ -111,12 +153,12 @@ def apply_weights(
     m, q = params.m, params.modulus
     if len(weights) != m * m:
         raise ParamMismatch(f"expected {m * m} weights, got {len(weights)}")
-    arith = PlainArith.for_contraction(params, m * m)
-    powers = arith.powers(m_mat)
-    w = np.array([int(v) % q for v in weights], arith.dtype).reshape(m, m)
-    polys = arith.matmul(w, powers.reshape(m, m * m))  # (i, (k, s))
-    left = arith.matmul(powers, arith.array(center))  # (i, r, k)
-    total = arith.matmul(
+    res = Residues.of(params)
+    powers = power_stack(res, m_mat)
+    w = np.array([int(v) % q for v in weights], res.dtype).reshape(m, m)
+    polys = res.matmul(w, powers.reshape(m, m * m))  # (i, (k, s))
+    left = res.matmul(powers, as_array(res, center))  # (i, r, k)
+    total = res.matmul(
         left.transpose(1, 0, 2).reshape(m, m * m), polys.reshape(m * m, m)
     )
     return EpmMatrix.validate(params, total.tolist())
@@ -136,8 +178,8 @@ def attack_dhdp(
     of M, so every solution applied to GB collapses to the same secret.
     Raises InconsistentSystem when GA is not of the honest masked form.
     """
-    asys = build_attack_system(m_mat, x, ga)
-    sol = howell_solve(asys.sys, with_kernel=False, counter=counter)
+    system = build_attack_system(m_mat, x, ga)
+    sol = howell_solve(system, with_kernel=False, counter=counter)
     return apply_weights(m_mat, gb, sol.particular)
 
 
@@ -152,8 +194,8 @@ def attack_egdp(
     Weights expressing E over the products M^i * N * M^j, applied to the
     ciphertext mask F, reproduce the blinding term exactly.
     """
-    asys = build_attack_system(pub.M, pub.N, pub.E)
-    sol = howell_solve(asys.sys, with_kernel=False, counter=counter)
+    system = build_attack_system(pub.M, pub.N, pub.E)
+    sol = howell_solve(system, with_kernel=False, counter=counter)
     return ct.D - apply_weights(pub.M, ct.F, sol.particular)
 
 
@@ -186,8 +228,8 @@ def zhang_system(
 
     # Structure-blind basis: plain mod-p^m products M^i X M^j, one row per
     # matrix position (r, s).
-    arith = PlainArith.for_contraction(params, m)
-    basis = arith.sandwich_basis(arith.powers(m_mat), x).tolist()
+    res = Residues.of(params)
+    basis = basis_array(res, power_stack(res, m_mat), x).tolist()
 
     n_unknowns = m * m * m
     rows, rhs = [], []

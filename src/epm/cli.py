@@ -20,7 +20,6 @@ from pathlib import Path
 from .attack import attack_dhdp, attack_egdp, bench_attack, summarize_bench, zhang_system
 from .protocols import (
     DhdpPublic,
-    RESAMPLE_CAP,
     SetupFailed,
     dhdp_alice,
     dhdp_bob,
@@ -30,6 +29,7 @@ from .protocols import (
     egdp_encrypt,
     egdp_decrypt,
     egdp_keygen,
+    retry_setup,
 )
 from .ring import EpmMatrix, NotAMember, ParamMismatch
 from .seeding import make_rng
@@ -90,14 +90,9 @@ def _write_file(path: str, tf) -> None:
 def _cmd_gen(args) -> int:
     params = PrimePower(args.p, args.m)
     rng = make_rng(args.seed, "gen")
-    for _ in range(RESAMPLE_CAP):
-        try:
-            m_mat, x = dhdp_setup(params, rng)
-            break
-        except SetupFailed:
-            continue
-    else:
-        raise SetupFailed("parameters admit no noncommuting pair")
+    m_mat, x = retry_setup(
+        lambda: dhdp_setup(params, rng), "parameters admit no noncommuting pair"
+    )
     _write_file(args.out, setup_file(m_mat, x))
     return 0
 
@@ -124,14 +119,9 @@ def _cmd_attack(args) -> int:
 def _cmd_egdp_keygen(args) -> int:
     params = PrimePower(args.p, args.m)
     rng = make_rng(args.seed, "egdp-keygen")
-    for _ in range(RESAMPLE_CAP):
-        try:
-            kp = egdp_keygen(params, rng)
-            break
-        except SetupFailed:
-            continue
-    else:
-        raise SetupFailed("parameters admit no noncommuting pair")
+    kp = retry_setup(
+        lambda: egdp_keygen(params, rng), "parameters admit no noncommuting pair"
+    )
     _write_file(args.pub_out, egdp_public_file(kp.public))
     _write_file(args.priv_out, egdp_private_file(kp.private))
     return 0

@@ -30,6 +30,7 @@ from .zpmsolve import PrimePower, ZpmSystem, howell_solve
 __all__ = [
     "SetupFailed",
     "RESAMPLE_CAP",
+    "retry_setup",
     "DhdpPublic",
     "DhdpPrivateA",
     "DhdpPrivateB",
@@ -63,6 +64,17 @@ RESAMPLE_CAP = 100
 class SetupFailed(RuntimeError):
     """A protocol constraint could not be met after RESAMPLE_CAP resamples
     (degenerate parameters such as m = 1, where the ring is commutative)."""
+
+
+def retry_setup(attempt, message: str):
+    """attempt() again with fresh draws while it raises SetupFailed, up to
+    RESAMPLE_CAP whole attempts; then raise SetupFailed(message)."""
+    for _ in range(RESAMPLE_CAP):
+        try:
+            return attempt()
+        except SetupFailed:
+            continue
+    raise SetupFailed(message)
 
 
 @dataclass(frozen=True)
@@ -259,18 +271,18 @@ def run_dhdp_session(params: PrimePower, rng) -> DhdpSession:
     session helper retries with fresh draws.  Genuinely degenerate
     parameters such as m = 1 still fail after RESAMPLE_CAP whole attempts.
     """
-    for _ in range(RESAMPLE_CAP):
-        try:
-            m_mat, x = dhdp_setup(params, rng)
-            priv_a, ga = dhdp_alice(m_mat, x, rng)
-            priv_b, gb = dhdp_bob(m_mat, x, rng)
-        except SetupFailed:
-            continue
-        shared = dhdp_shared_alice(priv_a, m_mat, gb)
-        if shared != dhdp_shared_bob(priv_b, ga):
-            raise RuntimeError("the two shared-secret derivations disagree")
-        return DhdpSession(DhdpPublic(m_mat, x, ga, gb), priv_a, priv_b, shared)
-    raise SetupFailed("no viable session after repeated attempts")
+
+    def attempt():
+        m_mat, x = dhdp_setup(params, rng)
+        return m_mat, x, *dhdp_alice(m_mat, x, rng), *dhdp_bob(m_mat, x, rng)
+
+    m_mat, x, priv_a, ga, priv_b, gb = retry_setup(
+        attempt, "no viable session after repeated attempts"
+    )
+    shared = dhdp_shared_alice(priv_a, m_mat, gb)
+    if shared != dhdp_shared_bob(priv_b, ga):
+        raise RuntimeError("the two shared-secret derivations disagree")
+    return DhdpSession(DhdpPublic(m_mat, x, ga, gb), priv_a, priv_b, shared)
 
 
 def egdp_keygen(params: PrimePower, rng) -> EgdpKeyPair:
@@ -310,11 +322,8 @@ def run_egdp_session(
 ) -> tuple[EgdpKeyPair, EpmMatrix, EgdpCiphertext]:
     """Key pair, plaintext (random unless given) and ciphertext for tests,
     with the same whole-attempt retry policy as run_dhdp_session."""
-    for _ in range(RESAMPLE_CAP):
-        try:
-            kp = egdp_keygen(params, rng)
-        except SetupFailed:
-            continue
-        s = secret if secret is not None else random_matrix(params, rng)
-        return kp, s, egdp_encrypt(kp.public, s, rng)
-    raise SetupFailed("no viable key pair after repeated attempts")
+    kp = retry_setup(
+        lambda: egdp_keygen(params, rng), "no viable key pair after repeated attempts"
+    )
+    s = secret if secret is not None else random_matrix(params, rng)
+    return kp, s, egdp_encrypt(kp.public, s, rng)

@@ -13,23 +13,14 @@ bijectively onto matrices over Z/p^m Z with entry-wise valuation floors.
 The lift respects addition and scalar action (not products), which is what
 turns "is this matrix a central-coefficient combination of these basis
 matrices?" into an ordinary linear system mod p^m - see
-:func:`combination_system`.
-
-:class:`PlainArith` is the array layer under the attack: structure-blind
-products taken entirely mod p^m on whole numpy arrays.  Each such product
-agrees with the ring product on row i modulo p^(i+1), and the lift scales
-row i by p^(m-1-i), which sends that difference to a multiple of p^m.  So
-the lift of a structure-blind product equals the lift of the ring product,
-and ring products reduced row-wise equal the structure-blind ones reduced
-row-wise.
+:func:`combination_system`.  The attack builds the same systems from whole
+arrays of residues; see :mod:`epm.attack`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .zpmsolve import (
     InconsistentSystem,
@@ -43,7 +34,6 @@ from .zpmsolve import (
 __all__ = [
     "EpmMatrix",
     "LiftedMatrix",
-    "PlainArith",
     "CentralElement",
     "CentralPoly",
     "NotAMember",
@@ -331,87 +321,6 @@ def unlift(f: LiftedMatrix) -> EpmMatrix:
             for i, row in enumerate(f.rows)
         ),
     )
-
-
-@dataclass(frozen=True)
-class PlainArith:
-    """Structure-blind products mod q = p^m on numpy arrays of one dtype.
-
-    The dtype is fixed by the longest contraction k, the number of products
-    one output entry sums before it is reduced:
-
-    * uint64 masked with q - 1 for p = 2, m <= 64: 2^m divides 2^64, so C
-      wraparound loses nothing;
-    * int64 with ``% q`` while k * (q-1)^2 < 2^63, so no partial sum
-      overflows.  This is stricter than the solver's q <= 2^31 rule, because
-      a matmul reduces once per contraction, not once per product;
-    * ``object`` arrays of Python integers otherwise.
-    """
-
-    params: PrimePower
-    dtype: type
-    reduce: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def for_contraction(cls, params: PrimePower, k: int) -> "PlainArith":
-        q = params.modulus
-        if params.p == 2 and params.m <= 64:
-            mask = np.uint64(q - 1)
-            return cls(params, np.uint64, lambda a: np.bitwise_and(a, mask, out=a))
-        dtype = np.int64 if k * (q - 1) ** 2 < 2**63 else object
-        return cls(params, dtype, lambda a: np.remainder(a, q, out=a))
-
-    def array(self, a: EpmMatrix) -> np.ndarray:
-        _same_params(a, self)
-        return np.array(a.rows, self.dtype)
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.reduce(a @ b)
-
-    def powers(self, m_mat: EpmMatrix) -> np.ndarray:
-        """M^0, ..., M^(m-1) as one (m, m, m) array: m - 1 matmuls."""
-        m = self.params.m
-        base = self.array(m_mat)
-        out = np.empty((m, m, m), self.dtype)
-        out[0] = np.eye(m, dtype=self.dtype)
-        for k in range(1, m):
-            out[k] = self.matmul(out[k - 1], base)
-        return out
-
-    def sandwich_basis(self, powers: np.ndarray, center: EpmMatrix) -> np.ndarray:
-        """Entry ((r, s), (i, j)) is entry (r, s) of M^i * center * M^j.
-
-        ``powers`` comes from :meth:`powers`; the whole basis is one GEMM.
-        """
-        m = self.params.m
-        left = self.matmul(powers, self.array(center))  # (i, r, t)
-        right = powers.transpose(1, 0, 2).reshape(m, m * m)  # (t, (j, s))
-        basis = self.matmul(left.reshape(m * m, m), right)
-        return basis.reshape(m, m, m, m).transpose(1, 3, 0, 2).reshape(m * m, m * m)
-
-    def lift(self, a: np.ndarray) -> np.ndarray:
-        """Row-scaling lift of a stack whose rows are the matrix positions
-        (r, s) in row-major order, as :func:`lift` does it entry by entry.
-
-        Raises NotInImage when a lifted entry at (r, s) is not divisible by
-        its valuation floor p^max(m-1-r, m-1-s).
-        """
-        p, m = self.params.p, self.params.m
-        shape = a.shape
-        a = a.reshape(m, m, -1)
-        scale = np.array([p ** (m - 1 - r) for r in range(m)], self.dtype)
-        out = self.reduce(a * scale[:, None, None])
-        floor = np.array(
-            [[p ** max(m - 1 - r, m - 1 - s) for s in range(m)] for r in range(m)],
-            self.dtype,
-        )
-        bad = np.argwhere(out % floor[:, :, None] != 0)
-        if len(bad):
-            r, s, _ = bad[0]
-            raise NotInImage(
-                f"lifted entry ({r},{s}) has valuation below {m - 1 - min(r, s)}"
-            )
-        return out.reshape(shape)
 
 
 def combination_system(

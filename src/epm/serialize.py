@@ -173,7 +173,9 @@ def parse_transcript(text: str) -> TranscriptFile:
                 raise ParseError(
                     f"poly degree exceeds {params.m - 1}", coeff_lineno
                 )
-            payload = tuple(c % params.modulus for c in coeffs)
+            # Kept as written: CentralPoly reduces them, and p^m is not
+            # computed before the caller has checked m.
+            payload = tuple(coeffs)
         blocks.append(Block(kind, name, payload))
     return TranscriptFile(params, tuple(blocks))
 

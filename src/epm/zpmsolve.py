@@ -13,11 +13,12 @@ make bottom-up back-substitution and kernel extraction correct over a ring
 with torsion.  The particular solution and every kernel generator are then
 back-substituted together as the columns of one block.
 
-One elimination routine runs on whole numpy arrays in one of three dtypes,
-chosen by the modulus: uint64 with wraparound for p = 2 and m <= 64, int64
-for moduli up to 2^31, and ``object`` (arbitrary-precision Python integers)
-otherwise.  The pivot sequence, the results and the operation count are the
-same in every dtype.
+One elimination routine runs on whole numpy arrays.  :class:`Residues` is
+the array layer under it, and under the attack's array products as well:
+one rule picks its dtype from (p, m), uint64 with wraparound for p = 2 and
+m <= 64, int64 for moduli up to 2^31, and ``object`` (arbitrary-precision
+Python integers) otherwise.  The pivot sequence, the results and the
+operation count are the same in every dtype.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "ZpmSystem",
     "SolutionSet",
     "OpCounter",
+    "Residues",
     "InconsistentSystem",
     "EnumerationCapExceeded",
     "DimensionMismatch",
@@ -211,36 +213,46 @@ class SolutionSet:
 _CHUNK_ROWS = 32
 
 
-def _arith(params: PrimePower, backend):
-    """(dtype, in-place reduction mod q, row @ block mod q) for the modulus.
+@dataclass(frozen=True)
+class Residues:
+    """Residues mod q = p^m held in numpy arrays of one dtype.
 
-    uint64 for p = 2, m <= 64: 2^m divides 2^64, so masking after C
-    wraparound is exact.  int64 for q <= 2^31: products stay below 2^62.
-    Python ints in an object array otherwise, or when ``backend="python"``.
+    :meth:`of` picks the dtype from the parameters alone:
+
+    * uint64 masked with q - 1 for p = 2, m <= 64.  2^m divides 2^64, so
+      sums and products taken with C wraparound are exact mod q.
+    * int64 with ``% q`` for q <= 2^31.  Entries stay in [0, q), so one
+      product is below 2^62 and one product subtracted from an entry stays
+      above -2^62.  :meth:`matmul` sums k products with ``@`` while
+      k (q-1)^2 < 2^63, which no partial sum can overflow.  For longer
+      contractions it reduces each product before the sum, and k terms below
+      2^31 cannot overflow either.
+    * ``object`` arrays of Python integers otherwise, or with
+      ``backend="python"``.
     """
-    q = params.modulus
-    if backend not in (None, "numpy", "python"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend != "python" and params.p == 2 and params.m <= 64:
-        mask = np.uint64(q - 1)
-        return (
-            np.uint64,
-            lambda a: np.bitwise_and(a, mask, out=a),
-            lambda row, block: row @ block & mask,
-        )
-    if backend != "python" and q <= 2**31:
-        return (
-            np.int64,
-            lambda a: np.remainder(a, q, out=a),
-            lambda row, block: (row[:, None] * block % q).sum(axis=0) % q,
-        )
-    if backend == "numpy":
-        raise ValueError("modulus too large for the numpy backend")
-    return (
-        object,
-        lambda a: np.remainder(a, q, out=a),
-        lambda row, block: row @ block % q,
-    )
+
+    params: PrimePower
+    dtype: type
+    reduce: Callable[[np.ndarray], np.ndarray]
+
+    @classmethod
+    def of(cls, params: PrimePower, backend: str | None = None) -> "Residues":
+        if backend not in (None, "python"):
+            raise ValueError(f"unknown backend {backend!r}")
+        q = params.modulus
+        if backend is None and params.p == 2 and params.m <= 64:
+            mask = np.uint64(q - 1)
+            return cls(params, np.uint64, lambda a: np.bitwise_and(a, mask, out=a))
+        dtype = np.int64 if backend is None and q <= 2**31 else object
+        return cls(params, dtype, lambda a: np.remainder(a, q, out=a))
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b mod q for ``a`` of at least two dimensions; the contraction
+        length k is the last axis of ``a``."""
+        q = self.params.modulus
+        if self.dtype is np.int64 and a.shape[-1] * (q - 1) ** 2 >= 2**63:
+            return self.reduce((a[..., None] * b[..., None, :, :] % q).sum(axis=-2))
+        return self.reduce(a @ b)
 
 
 def _find_pivot(column, p: int):
@@ -260,11 +272,12 @@ def _find_pivot(column, p: int):
     return v, int(hit.argmax())
 
 
-def _echelon(system: ZpmSystem, dtype, reduce, counter: OpCounter):
+def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
     """Eliminate column by column; return the normalised pivot rows and the
     (column, valuation) of each, or raise InconsistentSystem."""
     p, m, q = system.params.p, system.params.m, system.params.modulus
     c = system.cols
+    dtype, reduce = res.dtype, res.reduce
     # Rows are augmented: c coefficients, then the rhs.  The n candidate rows
     # stay compacted at the top of `cand`, in candidate order; a pivot removes
     # one and adds at most one completion row.
@@ -323,8 +336,8 @@ def howell_solve(
     Returns a SolutionSet whose particular + kernel span exactly the full
     solution set.  Deterministic: pivots are chosen by minimal p-adic
     valuation, earliest candidate row on ties, and the result is identical
-    for every ``backend``: None picks the dtype from the modulus, "numpy"
-    refuses moduli no machine integer holds, "python" forces Python ints.
+    for every ``backend``: None takes the dtype :meth:`Residues.of` picks
+    from the modulus, "python" forces Python ints.
     ``with_kernel=False`` skips kernel generation when only the particular
     solution is needed.
     """
@@ -332,8 +345,8 @@ def howell_solve(
     p, m, c = params.p, params.m, system.cols
     if counter is None:
         counter = OpCounter()
-    dtype, reduce, rowblock = _arith(params, backend)
-    prows, pivots = _echelon(system, dtype, reduce, counter)
+    res = Residues.of(params, backend)
+    prows, pivots = _echelon(system, res, counter)
 
     # One back-substitution for a block of x: column 0 is the particular
     # solution, the others are kernel generators seeded with 1 at each free
@@ -343,7 +356,7 @@ def howell_solve(
         pivot_cols = {col for col, _ in pivots}
         seeds = [(f, 1) for f in range(c) if f not in pivot_cols]
         seeds += [(col, p ** (m - v)) for col, v in pivots if v > 0]
-    x = np.zeros((c, 1 + len(seeds)), dtype)
+    x = np.zeros((c, 1 + len(seeds)), res.dtype)
     for j, (col, value) in enumerate(seeds, start=1):
         x[col, j] = value
     # Torsion pivot column -> its generator (seed p^(m-v) > 1), whose seed stays.
@@ -351,9 +364,9 @@ def howell_solve(
     for k in reversed(range(len(pivots))):
         col, v = pivots[k]
         counter.add(c - col - 1)
-        d = -rowblock(prows[k, col + 1 : c], x[col + 1 :])
+        d = -res.matmul(prows[k : k + 1, col + 1 : c], x[col + 1 :])[0]
         d[:1] += prows[k, c:]
-        reduce(d)
+        res.reduce(d)
         if col in kept:
             d[kept[col]] = 0
         if v > 0:

@@ -43,11 +43,11 @@ from epm.zpmsolve import (
 
 
 def test_attack_system_golden(golden):
-    asys = build_attack_system(golden.M, golden.X, golden.GA)
-    assert asys.sys.rows == 4 and asys.sys.cols == 4
-    assert tuple(zip(*asys.sys.coeffs)) == golden.system_cols
-    assert asys.sys.rhs == golden.system_rhs
-    assert is_solution(asys.sys, golden.lam)
+    system = build_attack_system(golden.M, golden.X, golden.GA)
+    assert system.rows == 4 and system.cols == 4
+    assert tuple(zip(*system.coeffs)) == golden.system_cols
+    assert system.rhs == golden.system_rhs
+    assert is_solution(system, golden.lam)
 
 
 def test_sandwich_basis_matches_direct_products(golden):
@@ -69,13 +69,13 @@ def ring_triples(draw):
 def test_array_system_equals_the_reference_definition(triple):
     m_mat, x, ga = triple
     reference = combination_system(sandwich_basis(m_mat, x), ga)
-    assert build_attack_system(m_mat, x, ga).sys == reference
+    assert build_attack_system(m_mat, x, ga) == reference
 
 
 def test_trivial_instance_has_trivial_weights(golden):
     ident = central_matrix(golden.params, 1)
-    asys = build_attack_system(golden.M, ident, ident)
-    assert is_solution(asys.sys, (1, 0, 0, 0))
+    system = build_attack_system(golden.M, ident, ident)
+    assert is_solution(system, (1, 0, 0, 0))
 
 
 def test_attack_systems_are_consistent_for_honest_sessions():
@@ -85,7 +85,7 @@ def test_attack_systems_are_consistent_for_honest_sessions():
         for _ in range(25):
             s = run_dhdp_session(params, rng)
             howell_solve(
-                build_attack_system(s.public.M, s.public.X, s.public.GA).sys,
+                build_attack_system(s.public.M, s.public.X, s.public.GA),
                 with_kernel=False,
             )  # raising would fail the test
 
@@ -128,15 +128,18 @@ def test_apply_weights_matches_explicit_products(triple, data):
     [
         (2, 63, False),
         (2, 64, False),
+        (3, 16, True),  # int64, every contraction by @
         (3, 17, True),
-        (3, 18, True),
+        (3, 18, True),  # int64, @ over m terms, per product over m^2
+        (3, 19, True),  # int64, every contraction per product
+        (3, 20, True),  # object
         (2**61 - 1, 2, True),
     ],
 )
 def test_apply_weights_at_dtype_boundaries(p, m, dense):
-    # Each case sits just inside or just outside a dtype of the array layer.
-    # Rank-one weights u_i * v_j give the value U * center * V with
-    # U = sum_i u_i M^i.  Dense u, v near q make the int64 contraction's
+    # Each case sits just inside or just outside a dtype or int64 kernel of
+    # Residues.  Rank-one weights u_i * v_j give the value U * center * V
+    # with U = sum_i u_i M^i.  Dense u, v near q make the int64 contraction's
     # partial sums as large as they get; on uint64, where wraparound is
     # exact anyway, three powers keep the ring-side value cheap.
     params = PrimePower(p, m)
@@ -172,12 +175,12 @@ def test_attack_with_trivial_alice_returns_gb(golden):
 
 
 def test_every_solution_recovers_the_same_secret(golden):
-    asys = build_attack_system(golden.M, golden.X, golden.GA)
-    sol = howell_solve(asys.sys)
+    system = build_attack_system(golden.M, golden.X, golden.GA)
+    sol = howell_solve(system)
     rng = random.Random(14)
     for _ in range(20):
         weights = sol.random_solution(rng)
-        assert is_solution(asys.sys, weights)
+        assert is_solution(system, weights)
         assert apply_weights(golden.M, golden.GB, weights) == golden.shared
 
 
@@ -187,8 +190,8 @@ def test_solution_independence_on_random_sessions():
         params = PrimePower(p, m)
         for _ in range(10):
             s = run_dhdp_session(params, rng)
-            asys = build_attack_system(s.public.M, s.public.X, s.public.GA)
-            sol = howell_solve(asys.sys)
+            system = build_attack_system(s.public.M, s.public.X, s.public.GA)
+            sol = howell_solve(system)
             for _ in range(5):
                 weights = sol.random_solution(rng)
                 assert apply_weights(s.public.M, s.public.GB, weights) == s.shared

@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -215,6 +216,26 @@ def test_oversized_inputs_are_refused_before_any_work(workdir, monkeypatch, caps
     monkeypatch.setattr(cli_mod, "attack_dhdp", lambda m_mat, x, ga, gb: gb)
     assert run(commands[0] + ["--allow-huge"]) == 0
     assert read_secret(parse_transcript(out.read_text())) == gb
+
+
+def test_hostile_header_is_refused_without_computing_p_to_the_m(workdir, capsys):
+    # Computing 3^(1.6e7) alone takes seconds, and 3^(1e9) hours; a poly
+    # block must not make the parser do it before m has been checked.
+    huge = workdir / "huge.epm"
+    huge.write_text("EPM/1\np 3\nm 16000000\npoly F1\n1\n", newline="")
+    priv = workdir / "priv.epm"
+    priv.write_text(
+        "EPM/1\np 3\nm 1000000000\npoly F1\n1\npoly F2\n1\nmatrix M\n1\n",
+        newline="",
+    )
+    out = workdir / "out.epm"
+    t0 = time.perf_counter()
+    assert run(["attack", "--transcript", huge, "--out", out]) == 2
+    assert "m=16000000 exceeds the desk-scale limit" in capsys.readouterr().err
+    assert run(["egdp-decrypt", "--priv", priv, "--ct", priv, "--out", out]) == 2
+    assert run(["verify", "--a", huge, "--b", huge]) == 0
+    assert time.perf_counter() - t0 < 1
+    assert not out.exists()
 
 
 def test_bench_cli(workdir):

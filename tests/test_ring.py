@@ -13,7 +13,6 @@ from epm.ring import (
     NotAMember,
     NotInImage,
     ParamMismatch,
-    PlainArith,
     cayley_hamilton_coeffs,
     central_matrix,
     combination_system,
@@ -23,7 +22,8 @@ from epm.ring import (
     solve_combination,
     unlift,
 )
-from epm.zpmsolve import PrimePower, howell_solve, is_solution
+from epm.attack import as_array, basis_array, lift_array, power_stack
+from epm.zpmsolve import PrimePower, Residues, howell_solve, is_solution
 
 
 P52 = PrimePower(5, 2)
@@ -373,38 +373,52 @@ def test_combination_system_shape(golden):
         (2, 63, np.uint64),
         (2, 64, np.uint64),  # q = 2^64: the mask is all ones
         (2, 65, object),
-        (3, 17, np.int64),  # 17^2 * (3^17 - 1)^2 < 2^63
-        (3, 18, object),
+        (3, 16, np.int64),  # 16 * (3^16 - 1)^2 < 2^63: @, then % q
+        (3, 17, np.int64),
+        (3, 18, np.int64),
+        (3, 19, np.int64),  # 19 * (3^19 - 1)^2 >= 2^63: % q per product
+        (3, 20, object),  # 3^20 > 2^31
         (2**61 - 1, 2, object),
     ],
 )
 def test_plain_arith_dtype_boundaries_match_ring_arithmetic(p, m, dtype):
     params = PrimePower(p, m)
-    arith = PlainArith.for_contraction(params, m * m)
-    assert arith.dtype is dtype
+    q = params.modulus
+    res = Residues.of(params)
+    assert res.dtype is dtype
     rng = random.Random(p + m)
     a, b = random_matrix(params, rng), random_matrix(params, rng)
     # (q-1) * I times b exercises the largest entries the modulus allows.
     for left in (a, central_matrix(params, -1)):
-        plain = arith.matmul(arith.array(left), arith.array(b))
+        plain = res.matmul(as_array(res, left), as_array(res, b))
         assert plain.dtype == dtype
         assert EpmMatrix.validate(params, plain.tolist()) == left * b
-        assert arith.lift(plain).tolist() == [list(row) for row in lift(left * b).rows]
+        assert lift_array(res, plain).tolist() == [
+            list(row) for row in lift(left * b).rows
+        ]
+    # Ring elements keep their top rows small; a dense block near q makes
+    # every partial sum of the contraction as large as it gets.
+    near = [[q - 1 - rng.randrange(4) for _ in range(m)] for _ in range(m)]
+    dense = res.matmul(np.array(near, dtype), np.array(near, dtype))
+    assert dense.tolist() == [
+        [sum(x * y for x, y in zip(row, col)) % q for col in zip(*near)]
+        for row in near
+    ]
 
 
 def test_plain_powers_reduce_to_ring_powers():
     params = PrimePower(3, 4)
-    arith = PlainArith.for_contraction(params, 4)
+    res = Residues.of(params)
     m_mat = random_matrix(params, random.Random(8))
-    powers = arith.powers(m_mat)
+    powers = power_stack(res, m_mat)
     for k in range(4):
         assert EpmMatrix.validate(params, powers[k].tolist()) == m_mat**k
 
 
 def test_plain_lift_rejects_an_entry_below_its_floor(golden):
-    arith = PlainArith.for_contraction(P52, 2)
-    basis = arith.sandwich_basis(arith.powers(golden.M), golden.X)
-    arith.lift(basis)
+    res = Residues.of(P52)
+    basis = basis_array(res, power_stack(res, golden.M), golden.X)
+    lift_array(res, basis)
     basis[2, 1] += 1  # position (1, 0): its lift must be divisible by 5
     with pytest.raises(NotInImage, match=r"\(1,0\)"):
-        arith.lift(basis)
+        lift_array(res, basis)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from epm.zpmsolve import (
     BRUTE_FORCE_CAP,
@@ -116,6 +116,8 @@ def test_howell_solve_is_deterministic(golden):
     )
     assert howell_solve(system) == howell_solve(system)
     assert howell_solve(system) == howell_solve(system, backend="python")
+    with pytest.raises(ValueError, match="unknown backend"):
+        howell_solve(system, backend="numpy")
 
 
 def _random_system(rng, p_choices=(2, 3), max_m=3, max_dim=3):
@@ -199,43 +201,69 @@ def _boundary_system(rng, params, rows=4, cols=4):
     return ZpmSystem(params, tuple(map(tuple, coeffs)), tuple(rhs))
 
 
-def test_backends_agree():
+def _fixed_systems():
     rng = random.Random(99)
     systems = [_random_system(rng, p_choices=(2, 3, 5)) for _ in range(120)]
-    systems += [
+    return systems + [
         _boundary_system(rng, PrimePower(p, m))
         for p, m in BOUNDARY_MODULI
         for _ in range(6)
     ]
-    for system in systems:
-        outcomes = []
-        # None takes the machine-integer dtype wherever the modulus allows.
-        for backend in ("python", None):
-            try:
-                outcomes.append(howell_solve(system, backend=backend))
-            except InconsistentSystem:
-                outcomes.append("inconsistent")
-        assert outcomes[0] == outcomes[1]
-        if outcomes[0] != "inconsistent":
-            sol = outcomes[0]
-            homogeneous = ZpmSystem(system.params, system.coeffs, (0,) * system.rows)
-            assert is_solution(system, sol.particular)
-            assert all(is_solution(homogeneous, gen) for gen in sol.kernel)
 
 
-def test_backends_count_identically():
-    rng = random.Random(7)
-    system = _random_system(rng, max_m=3, max_dim=3)
-    c1, c2 = OpCounter(), OpCounter()
+@st.composite
+def valuation_systems(draw):
+    """Up to 5 x 5 systems with entries r * p^v, over small moduli and every
+    boundary modulus; half of them are consistent by construction."""
+    p, m = draw(st.sampled_from([(2, 3), (3, 2), (5, 2)] + BOUNDARY_MODULI))
+    q = p**m
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.builds(
+        lambda r, v: r * p**v % q, st.integers(0, q - 1), st.integers(0, m)
+    )
+    coeffs = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols))
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in coeffs]
+    else:
+        rhs = draw(st.lists(entry, min_size=rows, max_size=rows))
+    return ZpmSystem(PrimePower(p, m), tuple(map(tuple, coeffs)), tuple(rhs))
+
+
+def _solve_outcome(system, backend):
+    counter = OpCounter()
     try:
-        howell_solve(system, backend="python", counter=c1)
+        sol = howell_solve(system, backend=backend, counter=counter)
     except InconsistentSystem:
-        pass
-    try:
-        howell_solve(system, backend="numpy", counter=c2)
-    except InconsistentSystem:
-        pass
-    assert c1.muls == c2.muls > 0
+        sol = "inconsistent"
+    return sol, counter.muls
+
+
+def _with_examples(systems):
+    def decorate(test):
+        for system in systems:
+            test = example(system=system)(test)
+        return test
+
+    return decorate
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=valuation_systems())
+@_with_examples(_fixed_systems())
+def test_backends_agree(system):
+    # Default dtype against Python ints: the same solution set or the same
+    # InconsistentSystem, and the same OpCounter total, which is zero only
+    # when there is nothing to eliminate.
+    default = _solve_outcome(system, None)
+    assert default == _solve_outcome(system, "python")
+    assert (default[1] > 0) == any(map(any, system.coeffs))
+    sol = default[0]
+    if sol != "inconsistent":
+        homogeneous = ZpmSystem(system.params, system.coeffs, (0,) * system.rows)
+        assert is_solution(system, sol.particular)
+        assert all(is_solution(homogeneous, gen) for gen in sol.kernel)
 
 
 def test_big_modulus_falls_back_to_python_backend():
@@ -247,8 +275,6 @@ def test_big_modulus_falls_back_to_python_backend():
     sol = howell_solve(system)
     assert is_solution(system, sol.particular)
     assert is_solution(system, (3, 2**30))
-    with pytest.raises(ValueError):
-        howell_solve(system, backend="numpy")  # uint64 cannot hold 2^80
 
 
 def test_random_solution_stays_a_solution(golden):
