@@ -266,6 +266,14 @@ def test_backends_agree(system):
         assert all(is_solution(homogeneous, gen) for gen in sol.kernel)
 
 
+def test_backends_count_identically():
+    rng = random.Random(7)
+    system = _random_system(rng, max_m=3, max_dim=3)
+    python_muls = _solve_outcome(system, "python")[1]
+    default_muls = _solve_outcome(system, None)[1]
+    assert python_muls == default_muls > 0
+
+
 def test_big_modulus_falls_back_to_python_backend():
     params = PrimePower(2, 80)
     # rhs built from the known solution x = (3, 2^30)
