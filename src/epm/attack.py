@@ -10,10 +10,10 @@ O((m^2)^3) multiplications mod p^m.
 
 Around the solve, the attack takes structure-blind products entirely mod
 p^m on whole arrays of :class:`~epm.zpmsolve.Residues`, never m^2 separate
-ring products.  Such a product agrees with the ring product on row i modulo
-p^(i+1), and the lift scales row i by p^(m-1-i), which sends that
-difference to a multiple of p^m.  So both products have the same lift, and
-they are equal once reduced row-wise.  The basis and its lift are one GEMM
+ring products.  The array helpers and the array lift live in
+:mod:`epm.ring`, next to the row-scaling lift they reproduce: a
+structure-blind product and the ring product have the same lift, and they
+are equal once reduced row-wise.  The basis and its lift are one GEMM
 over the powers of M, O(m^5) operations.  The weights are applied as
 sum_i M^i * GB * P_i(M) with P_i = sum_j w_ij M^j, which is O(m^4)
 operations.  :func:`sandwich_basis` and :func:`~epm.ring.combination_system`
@@ -37,7 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .protocols import EgdpCiphertext, EgdpPublicKey, run_dhdp_session
-from .ring import EpmMatrix, NotInImage, ParamMismatch, _same_params
+from .ring import EpmMatrix, ParamMismatch, _same_params
+from .ring import as_array, basis_array, lift_array, power_stack
 from .zpmsolve import OpCounter, PrimePower, Residues, ZpmSystem, howell_solve
 
 __all__ = [
@@ -71,60 +72,6 @@ def sandwich_basis(m_mat: EpmMatrix, center: EpmMatrix) -> tuple[EpmMatrix, ...]
             cur = cur * m_mat
             out.append(cur)
     return tuple(out)
-
-
-def as_array(res: Residues, a: EpmMatrix) -> np.ndarray:
-    _same_params(a, res)
-    return np.array(a.rows, res.dtype)
-
-
-def power_stack(res: Residues, m_mat: EpmMatrix) -> np.ndarray:
-    """M^0, ..., M^(m-1) as one (m, m, m) array: m - 1 matmuls."""
-    m = res.params.m
-    base = as_array(res, m_mat)
-    out = np.empty((m, m, m), res.dtype)
-    out[0] = np.eye(m, dtype=res.dtype)
-    for k in range(1, m):
-        out[k] = res.matmul(out[k - 1], base)
-    return out
-
-
-def basis_array(res: Residues, powers: np.ndarray, center: EpmMatrix) -> np.ndarray:
-    """Entry ((r, s), (i, j)) is entry (r, s) of M^i * center * M^j.
-
-    ``powers`` comes from :func:`power_stack`; the whole basis is one GEMM.
-    """
-    m = res.params.m
-    left = res.matmul(powers, as_array(res, center))  # (i, r, t)
-    right = powers.transpose(1, 0, 2).reshape(m, m * m)  # (t, (j, s))
-    basis = res.matmul(left.reshape(m * m, m), right)
-    return basis.reshape(m, m, m, m).transpose(1, 3, 0, 2).reshape(m * m, m * m)
-
-
-def lift_array(res: Residues, a: np.ndarray) -> np.ndarray:
-    """Row-scaling lift of a stack whose rows are the matrix positions
-    (r, s) in row-major order, as :func:`~epm.ring.lift` does it entry by
-    entry.
-
-    Raises NotInImage when a lifted entry at (r, s) is not divisible by
-    its valuation floor p^max(m-1-r, m-1-s).
-    """
-    p, m = res.params.p, res.params.m
-    shape = a.shape
-    a = a.reshape(m, m, -1)
-    scale = np.array([p ** (m - 1 - r) for r in range(m)], res.dtype)
-    out = res.reduce(a * scale[:, None, None])
-    floor = np.array(
-        [[p ** max(m - 1 - r, m - 1 - s) for s in range(m)] for r in range(m)],
-        res.dtype,
-    )
-    bad = np.argwhere(out % floor[:, :, None] != 0)
-    if len(bad):
-        r, s, _ = bad[0]
-        raise NotInImage(
-            f"lifted entry ({r},{s}) has valuation below {m - 1 - min(r, s)}"
-        )
-    return out.reshape(shape)
 
 
 def build_attack_system(m_mat: EpmMatrix, x: EpmMatrix, ga: EpmMatrix) -> ZpmSystem:
@@ -194,9 +141,7 @@ def attack_egdp(
     Weights expressing E over the products M^i * N * M^j, applied to the
     ciphertext mask F, reproduce the blinding term exactly.
     """
-    system = build_attack_system(pub.M, pub.N, pub.E)
-    sol = howell_solve(system, with_kernel=False, counter=counter)
-    return ct.D - apply_weights(pub.M, ct.F, sol.particular)
+    return ct.D - attack_dhdp(pub.M, pub.N, pub.E, ct.F, counter=counter)
 
 
 def zhang_system(
@@ -221,28 +166,18 @@ def zhang_system(
     treated as unconstrained residues mod p^m, which only enlarges the
     solution set and cannot mask an inconsistency.
     """
-    _same_params(m_mat, x)
-    _same_params(m_mat, ga)
     params = m_mat.params
-    p, m, q = params.p, params.m, params.modulus
-
-    # Structure-blind basis: plain mod-p^m products M^i X M^j, one row per
-    # matrix position (r, s).
+    p, m = params.p, params.m
     res = Residues.of(params)
-    basis = basis_array(res, power_stack(res, m_mat), x).tolist()
-
-    n_unknowns = m * m * m
-    rows, rhs = [], []
-    for r in range(m):
-        scale = p ** (m - 1 - r) if lift_rows else 1
-        for s in range(m):
-            coeff = [0] * n_unknowns
-            for bi, e in enumerate(basis[r * m + s]):
-                for k in range(r + 1):
-                    coeff[bi * m + k] = e * p**k * scale % q
-            rows.append(tuple(coeff))
-            rhs.append(ga.rows[r][s] * scale % q)
-    return ZpmSystem(params, tuple(rows), tuple(rhs))
+    # Structure-blind basis M^i X M^j, one row per matrix position (r, s);
+    # column (i, j, k) is basis column (i, j) times digit weight p^k, k <= r.
+    basis = basis_array(res, power_stack(res, m_mat), x).reshape(m, m, m * m, 1)
+    digits = np.tril(np.tile(np.array([p**k for k in range(m)], res.dtype), (m, 1)))
+    coeffs = res.reduce((basis * digits[:, None, None, :]).reshape(m * m, -1))
+    rhs = as_array(res, ga).reshape(-1)
+    if lift_rows:
+        coeffs, rhs = lift_array(res, coeffs), lift_array(res, rhs)
+    return ZpmSystem(params, coeffs.tolist(), rhs.tolist())
 
 
 @dataclass(frozen=True)
@@ -281,22 +216,25 @@ def bench_attack(
 
 
 def summarize_bench(records: Sequence[BenchRecord]) -> list[dict]:
-    """Per-(p, m) medians of wall time and ring-operation count."""
-    keys = []
+    """Per-(p, m) medians of wall time and ring-operation count, and
+    ``ops_ratio``, the count over the previous group's (None for the first)."""
+    groups = {}
     for rec in records:
-        if (rec.p, rec.m) not in keys:
-            keys.append((rec.p, rec.m))
+        groups.setdefault((rec.p, rec.m), []).append(rec)
     out = []
-    for p, m in keys:
-        group = [r for r in records if (r.p, r.m) == (p, m)]
+    prev = None
+    for (p, m), group in groups.items():
+        ops = median(r.solver_ring_ops for r in group)
         out.append(
             {
                 "p": p,
                 "m": m,
                 "reps": len(group),
                 "median_wall_seconds": median(r.wall_seconds for r in group),
-                "median_solver_ring_ops": median(r.solver_ring_ops for r in group),
+                "median_solver_ring_ops": ops,
+                "ops_ratio": ops / prev if prev else None,
                 "all_verified": all(r.verified for r in group),
             }
         )
+        prev = ops
     return out

@@ -165,6 +165,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise ParseError(f"--reps must be at least 1, got {args.reps}")
     try:
         m_values = [int(tok) for tok in args.m_list.split(",") if tok]
     except ValueError:
@@ -184,11 +186,13 @@ def _cmd_bench(args) -> int:
                  "yes" if r.verified else "no"]
             )
     for row in summarize_bench(records):
+        ratio = row["ops_ratio"]
         print(
             f"p={row['p']} m={row['m']} reps={row['reps']} "
             f"median_wall={row['median_wall_seconds']:.6f}s "
             f"median_ops={row['median_solver_ring_ops']} "
-            f"verified={'yes' if row['all_verified'] else 'no'}"
+            + ("" if ratio is None else f"ops_ratio={ratio:.1f} ")
+            + f"verified={'yes' if row['all_verified'] else 'no'}"
         )
     return 0 if all(r.verified for r in records) else 1
 
@@ -322,10 +326,8 @@ def cli_main(argv=None) -> int:
     except TooLarge as exc:
         print(exc, file=sys.stderr)
         return 2
-    except (ParseError, NotAMember, ParamMismatch, SetupFailed, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, NotAMember, ParamMismatch, SetupFailed, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,19 +13,20 @@ Both protocols are implemented faithfully, including their stated
 constraints, because the attack in :mod:`epm.attack` has to be demonstrated
 against honest sessions.  Nothing here is hardened; the point is that
 hardening cannot help.
+
+Centralizer elements are drawn in the membership parametrisation and their
+system is lifted row-wise; both maps live in :mod:`epm.ring`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import (
-    CentralPoly,
-    EpmMatrix,
-    random_central_poly,
-    random_matrix,
-)
-from .zpmsolve import PrimePower, ZpmSystem, howell_solve
+import numpy as np
+
+from .ring import CentralPoly, EpmMatrix, random_central_poly, random_matrix
+from .ring import as_array, lift_array, matrix_from_parameters
+from .zpmsolve import PrimePower, Residues, ZpmSystem, howell_solve
 
 __all__ = [
     "SetupFailed",
@@ -40,8 +41,6 @@ __all__ = [
     "EgdpKeyPair",
     "EgdpCiphertext",
     "commutation_system",
-    "matrix_from_parameters",
-    "matrix_to_parameters",
     "CentralizerSampler",
     "centralizer_sample",
     "dhdp_setup",
@@ -157,47 +156,28 @@ class EgdpCiphertext:
 def commutation_system(m_mat: EpmMatrix) -> ZpmSystem:
     """Homogeneous system whose solutions parametrise the centralizer.
 
-    An unknown matrix A is parametrised entry-wise as
-    a_ij = p^max(i-j,0) * t_ij, which makes every membership constraint
-    automatic.  The m^2 identities of A*M = M*A live mod p^(i+1) on row i;
-    rescaling row-i identities by p^(m-1-i) turns them all into congruences
-    mod p^m, so a single-modulus solver applies.  Unknown t_ij sits at
-    column i*m + j.
+    The unknown A is written in the membership parametrisation, which makes
+    every membership constraint automatic; t_ij sits at column i*m + j.  Row
+    (r, s) is entry (r, s) of A*M - M*A mod p^m, lifted, so the row-r
+    identities, which hold mod p^(r+1), become congruences mod p^m.
     """
     params = m_mat.params
-    p, m, q = params.p, params.m, params.modulus
-    n = m * m
-    rows = []
-    for r in range(m):
-        scale = p ** (m - 1 - r)
-        for s in range(m):
-            coeff = [0] * n
-            for k in range(m):
-                # (A*M) entry (r,s) picks up a_rk * M[k][s].
-                coeff[r * m + k] += m_mat.rows[k][s] * p ** max(r - k, 0)
-                # -(M*A) entry (r,s) picks up M[r][k] * a_ks.
-                coeff[k * m + s] -= m_mat.rows[r][k] * p ** max(k - s, 0)
-            rows.append(tuple(v * scale % q for v in coeff))
-    return ZpmSystem(params, tuple(rows), (0,) * n)
-
-
-def matrix_from_parameters(params: PrimePower, t) -> EpmMatrix:
-    """Inverse of the parametrisation used by commutation_system."""
-    p, m = params.p, params.m
-    mods = params.row_moduli
-    rows = tuple(
-        tuple(t[i * m + j] * p ** max(i - j, 0) % mods[i] for j in range(m))
-        for i in range(m)
-    )
-    return EpmMatrix(params, rows)
-
-
-def matrix_to_parameters(a: EpmMatrix) -> tuple[int, ...]:
-    """Canonical parameter vector of a ring element."""
-    p, m = a.params.p, a.params.m
-    return tuple(
-        a.rows[i][j] // p ** max(i - j, 0) for i in range(m) for j in range(m)
-    )
+    m, n = params.m, params.m * params.m
+    res = Residues.of(params)
+    mm = as_array(res, m_mat)
+    forced = as_array(res, matrix_from_parameters(params, (1,) * n))
+    # Entry ((r, s), (i, j)) is the coefficient of t_ij in (A*M - M*A)[r, s]:
+    # forced[r, j] * M[j, s] when i = r, minus M[r, i] * forced[i, s] when j = s.
+    # Each (r, s, .) term block is lifted on its own; the lift is additive.
+    left = lift_array(res, res.reduce(forced[:, None, :] * mm.T))
+    right = lift_array(res, res.reduce(mm[:, None, :] * forced.T[None]))
+    diag = np.arange(m)
+    op = np.zeros((m, m, m, m), res.dtype)
+    op[diag, :, diag, :] = left  # (r, s, j)
+    op[:, diag, :, diag] -= right.transpose(1, 0, 2)  # (s, r, i)
+    coeffs = res.reduce(op.reshape(n, n)).tolist()
+    del op  # the m^4 array is not needed while the system is built
+    return ZpmSystem(params, coeffs, (0,) * n)
 
 
 class CentralizerSampler:
@@ -211,10 +191,8 @@ class CentralizerSampler:
     """
 
     def __init__(self, m_mat: EpmMatrix):
-        self.m_mat = m_mat
         self.params = m_mat.params
-        self.system = commutation_system(m_mat)
-        self.solutions = howell_solve(self.system)
+        self.solutions = howell_solve(commutation_system(m_mat))
         self.kernel = self.solutions.kernel
 
     def sample(self, rng) -> EpmMatrix:
@@ -286,13 +264,7 @@ def run_dhdp_session(params: PrimePower, rng) -> DhdpSession:
 
 
 def egdp_keygen(params: PrimePower, rng) -> EgdpKeyPair:
-    m_mat = random_matrix(params, rng)
-    for _ in range(RESAMPLE_CAP):
-        n_mat = random_matrix(params, rng)
-        if not n_mat.commutes(m_mat):
-            break
-    else:
-        raise SetupFailed("could not find a noncommuting key matrix")
+    m_mat, n_mat = dhdp_setup(params, rng)
     f1 = random_central_poly(params, rng, params.m - 1)
     f2 = random_central_poly(params, rng, params.m - 1)
     e = f1.evaluate(m_mat) * n_mat * f2.evaluate(m_mat)

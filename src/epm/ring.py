@@ -13,8 +13,11 @@ bijectively onto matrices over Z/p^m Z with entry-wise valuation floors.
 The lift respects addition and scalar action (not products), which is what
 turns "is this matrix a central-coefficient combination of these basis
 matrices?" into an ordinary linear system mod p^m - see
-:func:`combination_system`.  The attack builds the same systems from whole
-arrays of residues; see :mod:`epm.attack`.
+:func:`combination_system`.  A structure-blind product mod p^m has the same
+lift as the ring product, so :func:`lift_array` and the array helpers build
+the same systems from whole arrays of residues for :mod:`epm.attack` and
+:mod:`epm.protocols`.  The membership parametrisation, entry (i, j) =
+p^max(i-j,0) * t_ij, is :func:`matrix_from_parameters`.
 """
 
 from __future__ import annotations
@@ -22,10 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .zpmsolve import (
     InconsistentSystem,
     OpCounter,
     PrimePower,
+    Residues,
     ZpmSystem,
     howell_solve,
     valuation,
@@ -40,6 +46,8 @@ __all__ = [
     "ParamMismatch",
     "NotInImage",
     "central_matrix",
+    "matrix_from_parameters",
+    "matrix_to_parameters",
     "lift",
     "unlift",
     "combination_system",
@@ -107,15 +115,11 @@ class EpmMatrix:
 
     @classmethod
     def zero(cls, params: PrimePower) -> "EpmMatrix":
-        z = (0,) * params.m
-        return cls(params, (z,) * params.m)
+        return central_matrix(params, 0)
 
     @classmethod
     def identity(cls, params: PrimePower) -> "EpmMatrix":
-        m = params.m
-        return cls(
-            params, tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-        )
+        return central_matrix(params, 1)
 
     def __add__(self, other):
         if not isinstance(other, EpmMatrix):
@@ -252,8 +256,7 @@ class CentralPoly:
         object.__setattr__(self, "coeffs", coeffs)
 
     def evaluate(self, m_mat: EpmMatrix) -> EpmMatrix:
-        if m_mat.params != self.params:
-            raise ParamMismatch(f"{m_mat.params} vs {self.params}")
+        _same_params(m_mat, self)
         acc = EpmMatrix.zero(self.params)
         power = EpmMatrix.identity(self.params)
         for k, ck in enumerate(self.coeffs):
@@ -295,6 +298,28 @@ class LiftedMatrix:
         return tuple(v for row in self.rows for v in row)
 
 
+def matrix_from_parameters(params: PrimePower, t: Sequence[int]) -> EpmMatrix:
+    """Entry (i, j) is p^max(i-j,0) * t[i*m + j]: a member for every t, and
+    each member once for t_ij below p^(min(i,j)+1)."""
+    p, m = params.p, params.m
+    mods = params.row_moduli
+    return EpmMatrix(
+        params,
+        tuple(
+            tuple(t[i * m + j] * p ** max(i - j, 0) % mods[i] for j in range(m))
+            for i in range(m)
+        ),
+    )
+
+
+def matrix_to_parameters(a: EpmMatrix) -> tuple[int, ...]:
+    """Canonical parameter vector of a ring element."""
+    p, m = a.params.p, a.params.m
+    return tuple(
+        a.rows[i][j] // p ** max(i - j, 0) for i in range(m) for j in range(m)
+    )
+
+
 def lift(a: EpmMatrix) -> LiftedMatrix:
     """Scale row i by p^(m-1-i); additive and scalar-compatible, bijective."""
     params = a.params
@@ -321,6 +346,57 @@ def unlift(f: LiftedMatrix) -> EpmMatrix:
             for i, row in enumerate(f.rows)
         ),
     )
+
+
+def as_array(res: Residues, a: EpmMatrix) -> np.ndarray:
+    _same_params(a, res)
+    return np.array(a.rows, res.dtype)
+
+
+def power_stack(res: Residues, m_mat: EpmMatrix) -> np.ndarray:
+    """M^0, ..., M^(m-1) as one (m, m, m) array: m - 1 matmuls."""
+    m = res.params.m
+    base = as_array(res, m_mat)
+    out = np.empty((m, m, m), res.dtype)
+    out[0] = np.eye(m, dtype=res.dtype)
+    for k in range(1, m):
+        out[k] = res.matmul(out[k - 1], base)
+    return out
+
+
+def basis_array(res: Residues, powers: np.ndarray, center: EpmMatrix) -> np.ndarray:
+    """Entry ((r, s), (i, j)) is entry (r, s) of M^i * center * M^j.
+
+    ``powers`` comes from :func:`power_stack`; the whole basis is one GEMM.
+    """
+    m = res.params.m
+    left = res.matmul(powers, as_array(res, center))  # (i, r, t)
+    right = powers.transpose(1, 0, 2).reshape(m, m * m)  # (t, (j, s))
+    basis = res.matmul(left.reshape(m * m, m), right)
+    return basis.reshape(m, m, m, m).transpose(1, 3, 0, 2).reshape(m * m, m * m)
+
+
+def lift_array(res: Residues, a: np.ndarray) -> np.ndarray:
+    """Row-scaling lift of a stack of reduced residues whose rows are the
+    matrix positions (r, s) in row-major order, as :func:`lift` does it
+    entry by entry.
+
+    Raises NotInImage when a lifted entry at (r, s) is not divisible by
+    its valuation floor p^max(m-1-r, m-1-s).
+    """
+    p, m = res.params.p, res.params.m
+    shape = a.shape
+    a = a.reshape(m, m, -1)
+    scale = np.array([p ** (m - 1 - r) for r in range(m)], res.dtype)
+    out = res.reduce(a * scale[:, None, None])
+    floor = np.maximum(scale[:, None], scale[None, :])
+    bad = np.argwhere(out % floor[:, :, None] != 0)
+    if len(bad):
+        r, s, _ = bad[0]
+        raise NotInImage(
+            f"lifted entry ({r},{s}) has valuation below {m - 1 - min(r, s)}"
+        )
+    return out.reshape(shape)
 
 
 def combination_system(
@@ -377,20 +453,15 @@ def cayley_hamilton_coeffs(a: EpmMatrix) -> tuple[int, ...]:
 def random_matrix(params: PrimePower, rng) -> EpmMatrix:
     """Uniform draw from the ring.
 
-    Entry (i, j) is p^max(i-j,0) * t with t uniform below p^(min(i,j)+1);
-    that parametrises the membership set bijectively, so the draw is uniform
-    and membership holds by construction.
+    Parameter t_ij is uniform below p^(min(i,j)+1), drawn in row-major
+    order; :func:`matrix_from_parameters` maps those vectors bijectively
+    onto the ring, so the draw is uniform.
     """
-    p = params.p
     m = params.m
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            t = rng.randrange(params.row_moduli[min(i, j)])
-            row.append(t * p ** max(i - j, 0))
-        rows.append(tuple(row))
-    return EpmMatrix(params, tuple(rows))
+    mods = params.row_moduli
+    return matrix_from_parameters(
+        params, [rng.randrange(mods[min(i, j)]) for i in range(m) for j in range(m)]
+    )
 
 
 def random_central_poly(params: PrimePower, rng, degree: int) -> CentralPoly:

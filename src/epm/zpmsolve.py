@@ -223,10 +223,9 @@ class Residues:
       sums and products taken with C wraparound are exact mod q.
     * int64 with ``% q`` for q <= 2^31.  Entries stay in [0, q), so one
       product is below 2^62 and one product subtracted from an entry stays
-      above -2^62.  :meth:`matmul` sums k products with ``@`` while
-      k (q-1)^2 < 2^63, which no partial sum can overflow.  For longer
-      contractions it reduces each product before the sum, and k terms below
-      2^31 cannot overflow either.
+      above -2^62.  :meth:`matmul` sums chunks of floor((2^63-1) / (q-1)^2)
+      >= 2 products with ``@``, which cannot overflow, and reduces after
+      each chunk, so the running total stays below 2q.
     * ``object`` arrays of Python integers otherwise, or with
       ``backend="python"``.
     """
@@ -250,9 +249,13 @@ class Residues:
         """a @ b mod q for ``a`` of at least two dimensions; the contraction
         length k is the last axis of ``a``."""
         q = self.params.modulus
-        if self.dtype is np.int64 and a.shape[-1] * (q - 1) ** 2 >= 2**63:
-            return self.reduce((a[..., None] * b[..., None, :, :] % q).sum(axis=-2))
-        return self.reduce(a @ b)
+        k = a.shape[-1]
+        step = (2**63 - 1) // (q - 1) ** 2 if self.dtype is np.int64 else max(k, 1)
+        out = self.reduce(a[..., :step] @ b[..., :step, :])
+        for s in range(step, k, step):
+            out += self.reduce(a[..., s : s + step] @ b[..., s : s + step, :])
+            self.reduce(out)
+        return out
 
 
 def _find_pivot(column, p: int):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,9 +313,26 @@ def test_bench_attack_records_and_summary():
     summary = summarize_bench(records)
     assert [(row["p"], row["m"]) for row in summary] == [(2, 2), (3, 2)]
     assert all(row["all_verified"] for row in summary)
+    ops = [row["median_solver_ring_ops"] for row in summary]
+    assert [row["ops_ratio"] for row in summary] == [None, ops[1] / ops[0]]
 
 
 def test_bench_op_counts_are_seed_deterministic():
     r1 = bench_attack([(2, 3)], reps=2, rng=random.Random(5))
     r2 = bench_attack([(2, 3)], reps=2, rng=random.Random(5))
     assert [r.solver_ring_ops for r in r1] == [r.solver_ring_ops for r in r2]
+
+
+def test_attack_system_memory_past_the_int64_single_matmul_bound():
+    # 19 (3^19 - 1)^2 >= 2^63, so the basis GEMM sums int64 products in
+    # chunks; multiplying every product out first peaked near 38 MiB here.
+    params = PrimePower(3, 19)
+    rng = random.Random(3)
+    m_mat, x, ga = (random_matrix(params, rng) for _ in range(3))
+    tracemalloc.start()
+    try:
+        build_attack_system(m_mat, x, ga)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import subprocess
 import sys
 import time
@@ -238,12 +239,16 @@ def test_hostile_header_is_refused_without_computing_p_to_the_m(workdir, capsys)
     assert not out.exists()
 
 
-def test_bench_cli(workdir):
+def test_bench_cli(workdir, capsys):
     csv_path = workdir / "bench.csv"
     assert run(
         ["bench", "--p", 2, "--m-list", "2,3", "--reps", 2, "--seed", 3,
          "--out", csv_path]
     ) == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert len(summary) == 2
+    assert "ops_ratio=" not in summary[0]
+    assert re.search(r" ops_ratio=\d+\.\d verified=yes$", summary[1])
     lines = csv_path.read_text().split("\n")
     assert lines[0] == "p,m,rep,wall_seconds,solver_ring_ops,verified"
     assert len(lines) == 6  # header + 4 records + trailing newline
@@ -256,6 +261,17 @@ def test_bench_cli(workdir):
         (row.split(",")[1], row.split(",")[4]) for row in text.split("\n")[1:5]
     ]
     assert pick(csv_path.read_text()) == pick(csv2.read_text())
+
+
+@pytest.mark.parametrize("reps", [0, -3])
+def test_bench_refuses_reps_below_one(workdir, capsys, reps):
+    out = workdir / "x.csv"
+    assert run(
+        ["bench", "--p", 2, "--m-list", "2", "--reps", reps, "--seed", 1,
+         "--out", out]
+    ) == 2
+    assert not out.exists()
+    assert "--reps" in capsys.readouterr().err
 
 
 def test_bench_rejects_huge_m_without_flag(workdir, capsys):

@@ -1,8 +1,16 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from epm.ring import EpmMatrix, central_matrix, random_matrix
+from epm.ring import (
+    EpmMatrix,
+    central_matrix,
+    matrix_from_parameters,
+    matrix_to_parameters,
+    random_central_poly,
+    random_matrix,
+)
 from epm.protocols import (
     CentralizerSampler,
     DhdpPrivateA,
@@ -20,8 +28,6 @@ from epm.protocols import (
     egdp_encrypt,
     egdp_encrypt_with,
     egdp_keygen,
-    matrix_from_parameters,
-    matrix_to_parameters,
     run_dhdp_session,
     run_egdp_session,
 )
@@ -105,6 +111,24 @@ def test_golden_b1_is_in_the_sampled_space(golden):
     system = commutation_system(golden.M)
     assert is_solution(system, matrix_to_parameters(golden.B1))
     assert is_solution(system, matrix_to_parameters(golden.B2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    params=st.builds(PrimePower, st.sampled_from([2, 3, 5, 7]), st.integers(1, 5)),
+    seed=st.integers(0, 2**32),
+)
+# Dtype boundaries of the array build: int64 at 3^19, object past 2^31.
+@example(params=PrimePower(3, 19), seed=0)
+@example(params=PrimePower(3, 20), seed=0)
+@example(params=PrimePower(2**61 - 1, 2), seed=0)
+def test_commutation_system_solutions_are_the_centralizer(params, seed):
+    rng = random.Random(seed)
+    m_mat, a = random_matrix(params, rng), random_matrix(params, rng)
+    system = commutation_system(m_mat)
+    assert is_solution(system, matrix_to_parameters(a)) == a.commutes(m_mat)
+    f = random_central_poly(params, rng, rng.randrange(params.m))
+    assert is_solution(system, matrix_to_parameters(f.evaluate(m_mat)))
 
 
 def test_parametrisation_roundtrip():

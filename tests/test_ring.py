@@ -13,16 +13,19 @@ from epm.ring import (
     NotAMember,
     NotInImage,
     ParamMismatch,
+    as_array,
+    basis_array,
     cayley_hamilton_coeffs,
     central_matrix,
     combination_system,
     lift,
+    lift_array,
+    power_stack,
     random_central_poly,
     random_matrix,
     solve_combination,
     unlift,
 )
-from epm.attack import as_array, basis_array, lift_array, power_stack
 from epm.zpmsolve import PrimePower, Residues, howell_solve, is_solution
 
 
