@@ -173,7 +173,7 @@ def zhang_system(
     # column (i, j, k) is basis column (i, j) times digit weight p^k, k <= r.
     basis = basis_array(res, power_stack(res, m_mat), x).reshape(m, m, m * m, 1)
     digits = np.tril(np.tile(np.array([p**k for k in range(m)], res.dtype), (m, 1)))
-    coeffs = res.reduce((basis * digits[:, None, None, :]).reshape(m * m, -1))
+    coeffs = res.reduce(res.mul(basis, digits[:, None, None, :]).reshape(m * m, -1))
     rhs = as_array(res, ga).reshape(-1)
     if lift_rows:
         coeffs, rhs = lift_array(res, coeffs), lift_array(res, rhs)

@@ -50,7 +50,7 @@ from .serialize import (
     setup_file,
     write_transcript,
 )
-from .zpmsolve import InconsistentSystem, PrimePower, howell_solve
+from .zpmsolve import InconsistentSystem, PrimePower, Residues, howell_solve
 
 __all__ = ["cli_main", "main"]
 
@@ -187,8 +187,9 @@ def _cmd_bench(args) -> int:
             )
     for row in summarize_bench(records):
         ratio = row["ops_ratio"]
+        dtype = Residues.of(PrimePower(row["p"], row["m"])).dtype.__name__
         print(
-            f"p={row['p']} m={row['m']} reps={row['reps']} "
+            f"p={row['p']} m={row['m']} reps={row['reps']} dtype={dtype} "
             f"median_wall={row['median_wall_seconds']:.6f}s "
             f"median_ops={row['median_solver_ring_ops']} "
             + ("" if ratio is None else f"ops_ratio={ratio:.1f} ")

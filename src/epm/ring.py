@@ -388,7 +388,7 @@ def lift_array(res: Residues, a: np.ndarray) -> np.ndarray:
     shape = a.shape
     a = a.reshape(m, m, -1)
     scale = np.array([p ** (m - 1 - r) for r in range(m)], res.dtype)
-    out = res.reduce(a * scale[:, None, None])
+    out = res.reduce(res.mul(a, scale[:, None, None]))
     floor = np.maximum(scale[:, None], scale[None, :])
     bad = np.argwhere(out % floor[:, :, None] != 0)
     if len(bad):

@@ -16,7 +16,7 @@ back-substituted together as the columns of one block.
 One elimination routine runs on whole numpy arrays.  :class:`Residues` is
 the array layer under it, and under the attack's array products as well:
 one rule picks its dtype from (p, m), uint64 with wraparound for p = 2 and
-m <= 64, int64 for moduli up to 2^31, and ``object`` (arbitrary-precision
+m <= 64, int64 for moduli below 2^50, and ``object`` (arbitrary-precision
 Python integers) otherwise.  The pivot sequence, the results and the
 operation count are the same in every dtype.
 """
@@ -199,13 +199,11 @@ class SolutionSet:
 
     def random_solution(self, rng) -> tuple[int, ...]:
         """particular plus a uniformly weighted kernel combination."""
-        q = self.params.modulus
-        x = list(self.particular)
-        for gen in self.kernel:
-            w = rng.randrange(q)
-            if w:
-                x = [(a + w * g) % q for a, g in zip(x, gen)]
-        return tuple(x)
+        q, res = self.params.modulus, Residues.of(self.params)
+        w = np.array([[rng.randrange(q) for _ in self.kernel]], res.dtype)
+        gens = np.array(self.kernel, res.dtype).reshape(len(self.kernel), -1)
+        x = np.array(self.particular, res.dtype) + res.matmul(w, gens)[0]
+        return tuple(res.reduce(x).tolist())
 
 
 #: Rows per in-place elimination update.  Bounds the temporaries, which on the
@@ -226,6 +224,9 @@ class Residues:
       above -2^62.  :meth:`matmul` sums chunks of floor((2^63-1) / (q-1)^2)
       >= 2 products with ``@``, which cannot overflow, and reduces after
       each chunk, so the running total stays below 2q.
+    * int64 for 2^31 < q < 2^50, where a product can pass 2^63: :meth:`mul`
+      reduces each, and :meth:`matmul` adds at most floor((2^63-1)/q) - 1
+      of them at a time to a total below q, so the sum stays below 2^63.
     * ``object`` arrays of Python integers otherwise, or with
       ``backend="python"``.
     """
@@ -242,14 +243,52 @@ class Residues:
         if backend is None and params.p == 2 and params.m <= 64:
             mask = np.uint64(q - 1)
             return cls(params, np.uint64, lambda a: np.bitwise_and(a, mask, out=a))
-        dtype = np.int64 if backend is None and q <= 2**31 else object
+        dtype = np.int64 if backend is None and q < 2**50 else object
         return cls(params, dtype, lambda a: np.remainder(a, q, out=a))
 
+    @cached_property
+    def wide(self) -> bool:
+        """The int64 tier past 2^31, where products need :meth:`mul`."""
+        return self.dtype is np.int64 and self.params.modulus > 2**31
+
+    def mul(self, a, b):
+        """a * b for reduced ``a`` and ``b``, broadcast, which callers reduce.
+
+        On the ``wide`` tier it is the float-quotient mulmod (Shoup; NTL
+        ``MulMod``).  a, b < q < 2^50 are exact in float64, and the three
+        roundings of a * b * (1/q), each of relative error at most 2^-53,
+        put the quotient within ab/q * 4 * 2^-53 < 1/2 of ab/q.  So
+        r = ab - floor(quot) * q lies in [-q, 2q), exact when computed mod
+        2^64 in uint64, and one +q and one -q correction leave it in [0, q).
+        """
+        q = self.params.modulus
+        if not self.wide:
+            return a * b
+        a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
+        u, uq = np.uint64, np.uint64(q)
+        quot = np.multiply(a, b, dtype=np.float64) * (1.0 / q)
+        r = np.multiply(a.view(u), b.view(u))
+        r -= quot.astype(u) * uq
+        # Minima of wrapped uint64 values: +q where r < 0, then -q where r >= q.
+        np.minimum(r, r + uq, out=r)
+        np.minimum(r, r - uq, out=r)
+        return r.view(np.int64)
+
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b mod q for ``a`` of at least two dimensions; the contraction
-        length k is the last axis of ``a``."""
+        """a @ b mod q for ``a`` of at least two dimensions and a matrix
+        ``b``; the contraction length k is the last axis of ``a``."""
         q = self.params.modulus
         k = a.shape[-1]
+        if self.wide:
+            rows, cols = a.reshape(np.prod(a.shape[:-1], dtype=int), k), b.shape[-1]
+            out = np.zeros((len(rows), cols), np.int64)
+            kb = max(1, min(k, (2**63 - 1) // q - 1, 2**16 // cols))
+            nb = max(1, 2**16 // (kb * cols))
+            for i, s in itertools.product(range(0, len(rows), nb), range(0, k, kb)):
+                acc, part = out[i : i + nb], rows[i : i + nb, s : s + kb, None]
+                acc += self.mul(part, b[s : s + kb]).sum(1)
+                self.reduce(acc)
+            return out.reshape(a.shape[:-1] + (cols,))
         step = (2**63 - 1) // (q - 1) ** 2 if self.dtype is np.int64 else max(k, 1)
         out = self.reduce(a[..., :step] @ b[..., :step, :])
         for s in range(step, k, step):
@@ -303,19 +342,19 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
         pv = p**v
         unit = int(prow[col]) // pv
         if unit != 1:
-            prow[col:] *= pow(unit, -1, q)
+            prow[col:] = res.mul(prow[col:], pow(unit, -1, q))
             reduce(prow[col:])
         # Zero entries get a zero multiplier rather than a skip, so the count
         # is the elimination's full cubic operation count.
         counter.add((c + 1 - col) * (1 + n))
         for s in range(0, n, _CHUNK_ROWS):
             block = cand[s : min(s + _CHUNK_ROWS, n), col:]
-            block -= block[:, :1] // pv * prow[col:]
+            block -= res.mul(block[:, :1] // pv, prow[col:])
             reduce(block)
         pivots.append((col, v))
         if v > 0:
             counter.add(c + 1 - col)
-            cand[n, col:] = prow[col:] * p ** (m - v)
+            cand[n, col:] = res.mul(prow[col:], p ** (m - v))
             reduce(cand[n, col:])
             if cand[n, col + 1 :].any():
                 n += 1

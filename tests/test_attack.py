@@ -133,7 +133,9 @@ def test_apply_weights_matches_explicit_products(triple, data):
         (3, 17, True),
         (3, 18, True),  # int64, @ over m terms, per product over m^2
         (3, 19, True),  # int64, every contraction per product
-        (3, 20, True),  # object
+        (3, 20, True),  # int64 with the float-quotient mulmod
+        (3, 31, True),
+        (5, 21, True),
         (2**61 - 1, 2, True),
     ],
 )
@@ -336,3 +338,24 @@ def test_attack_system_memory_past_the_int64_single_matmul_bound():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_attack_memory_on_the_wide_int64_tier():
+    # 5^21 > 2^31: every product is a float-quotient mulmod over chunks of
+    # about 2^16 entries.  On object arrays build_attack_system peaked at
+    # 16.5 MiB here.
+    params = PrimePower(5, 21)
+    rng = random.Random(3)
+    m_mat, x, ga = (random_matrix(params, rng) for _ in range(3))
+    weights = [rng.randrange(params.modulus) for _ in range(21 * 21)]
+    peaks = []
+    for call in (lambda: build_attack_system(m_mat, x, ga),
+                 lambda: apply_weights(m_mat, ga, weights)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 12 * 2**20
+    assert peaks[1] <= 4 * 2**20

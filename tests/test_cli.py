@@ -249,6 +249,7 @@ def test_bench_cli(workdir, capsys):
     assert len(summary) == 2
     assert "ops_ratio=" not in summary[0]
     assert re.search(r" ops_ratio=\d+\.\d verified=yes$", summary[1])
+    assert all(" dtype=uint64 median_wall=" in line for line in summary)
     lines = csv_path.read_text().split("\n")
     assert lines[0] == "p,m,rep,wall_seconds,solver_ring_ops,verified"
     assert len(lines) == 6  # header + 4 records + trailing newline
@@ -261,6 +262,16 @@ def test_bench_cli(workdir, capsys):
         (row.split(",")[1], row.split(",")[4]) for row in text.split("\n")[1:5]
     ]
     assert pick(csv_path.read_text()) == pick(csv2.read_text())
+
+
+def test_bench_names_the_wide_int64_dtype(workdir, capsys):
+    # 5^14 > 2^31 runs on int64 with the float-quotient mulmod.
+    out = workdir / "bench.csv"
+    assert run(["bench", "--p", 5, "--m-list", 14, "--reps", 1, "--seed", 3,
+                "--out", out]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert re.match(r"p=5 m=14 reps=1 dtype=int64 median_wall=", line)
+    assert line.endswith(" verified=yes")
 
 
 @pytest.mark.parametrize("reps", [0, -3])

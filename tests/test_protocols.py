@@ -118,9 +118,13 @@ def test_golden_b1_is_in_the_sampled_space(golden):
     params=st.builds(PrimePower, st.sampled_from([2, 3, 5, 7]), st.integers(1, 5)),
     seed=st.integers(0, 2**32),
 )
-# Dtype boundaries of the array build: int64 at 3^19, object past 2^31.
+# Dtype boundaries of the array build: plain int64 products at 3^19, the
+# float-quotient mulmod past 2^31, where the raw term-block products reach
+# p^40 at 3^21, and object past 2^50.
 @example(params=PrimePower(3, 19), seed=0)
 @example(params=PrimePower(3, 20), seed=0)
+@example(params=PrimePower(3, 21), seed=0)
+@example(params=PrimePower(5, 21), seed=0)
 @example(params=PrimePower(2**61 - 1, 2), seed=0)
 def test_commutation_system_solutions_are_the_centralizer(params, seed):
     rng = random.Random(seed)

@@ -380,7 +380,13 @@ def test_combination_system_shape(golden):
         (3, 17, np.int64),
         (3, 18, np.int64),
         (3, 19, np.int64),  # 19 * (3^19 - 1)^2 >= 2^63: % q per product
-        (3, 20, object),  # 3^20 > 2^31
+        (3, 20, np.int64),  # 3^20 > 2^31: float-quotient mulmod
+        (3, 31, np.int64),
+        (3, 32, object),  # 3^32 > 2^50
+        (5, 21, np.int64),
+        (5, 22, object),
+        (33554393, 2, np.int64),  # the largest prime below 2^25, squared
+        (33554467, 2, object),  # the smallest prime above 2^25, squared
         (2**61 - 1, 2, object),
     ],
 )

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from epm.zpmsolve import (
     InconsistentSystem,
     OpCounter,
     PrimePower,
+    Residues,
     SolutionSet,
     ZpmSystem,
     brute_solve,
@@ -174,10 +176,13 @@ def test_solver_oracle_property(data):
     assert spanned_solutions(sol) == oracle
 
 
-# Moduli on each side of a dtype switch: uint64 up to 2^64, int64 up to 2^31
-# (3^19 < 2^31 < 3^20), Python ints beyond; m = 1 and a 61-bit prime.
+# Moduli on each side of a dtype switch: uint64 up to 2^64, int64 with plain
+# products up to 2^31 (3^19 < 2^31 < 3^20) and with the float-quotient mulmod
+# below 2^50 (3^31, 5^21 and 33554393^2 below; 3^32, 5^22 and 33554467^2
+# above), Python ints beyond; m = 1 and a 61-bit prime.
 BOUNDARY_MODULI = [(2, 63), (2, 64), (2, 65), (3, 19), (3, 20), (2, 1), (3, 1),
-                   (2**61 - 1, 1)]
+                   (2**61 - 1, 1), (3, 31), (3, 32), (5, 21), (5, 22),
+                   (33554393, 2), (33554467, 2)]
 
 
 def _boundary_system(rng, params, rows=4, cols=4):
@@ -264,6 +269,80 @@ def test_backends_agree(system):
         homogeneous = ZpmSystem(system.params, system.coeffs, (0,) * system.rows)
         assert is_solution(system, sol.particular)
         assert all(is_solution(homogeneous, gen) for gen in sol.kernel)
+
+
+# Moduli of the int64 tier past 2^31, up to the largest prime below 2^25
+# squared, whose products need the float-quotient mulmod.
+WIDE_MODULI = [(3, 20), (5, 14), (3, 31), (5, 21), (33554393, 2)]
+
+
+@st.composite
+def wide_operands(draw):
+    """A modulus of WIDE_MODULI, an n x (k+1) block and a k x l block with
+    0, 1 and q - 1 forced often among their entries."""
+    p, m = draw(st.sampled_from(WIDE_MODULI))
+    q = p**m
+    entry = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    n, k, l = (draw(st.integers(1, 6)) for _ in range(3))
+    a = draw(st.lists(st.lists(entry, min_size=k + 1, max_size=k + 1),
+                      min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entry, min_size=l, max_size=l),
+                      min_size=k, max_size=k))
+    return PrimePower(p, m), a, b
+
+
+def _python_matmul(a, b, q):
+    return [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)]
+            for row in a]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=wide_operands())
+def test_wide_mul_and_matmul_match_python_ints(case):
+    params, a, b = case
+    q = params.modulus
+    res = Residues.of(params)
+    assert res.dtype is np.int64
+    block, right = np.array(a, np.int64), np.array(b, np.int64)
+    # Column slices of the block are non-contiguous views, as in _echelon.
+    col, left = block[:, :1], block[:, 1:]
+    assert res.mul(col, right[0]).tolist() == [
+        [row[0] * y % q for y in b[0]] for row in a
+    ]
+    assert res.mul(left, left).tolist() == [
+        [x * x % q for x in row[1:]] for row in a
+    ]
+    want = _python_matmul([row[1:] for row in a], b, q)
+    assert res.matmul(left, right).tolist() == want
+    stacked = res.matmul(np.stack([left, left[::-1]]), right)
+    assert stacked.tolist() == [want, want[::-1]]
+
+
+@pytest.mark.parametrize("p,m", WIDE_MODULI)
+def test_wide_mul_and_matmul_match_python_ints_in_bulk(p, m):
+    # Near q = 2^50 about one random product in a hundred has a float
+    # quotient one too high or one too low, so the 90000 products below
+    # exercise both corrections.  The 300 x 300 contraction splits into row
+    # and contraction chunks of about 2^16 products.  A sum of 20000
+    # products of q - 1 overflows int64 there unless it is cut at
+    # floor((2^63 - 1) / q) terms.  k = 0, which back-substitution reaches
+    # at the last column, gives zeros.
+    q = p**m
+    res = Residues.of(PrimePower(p, m))
+    rng = random.Random(q)
+    a = [[q - 1 - rng.randrange(3) for _ in range(300)] for _ in range(3)]
+    b = [[rng.choice([1, q - 1, rng.randrange(q)]) for _ in range(300)]
+         for _ in range(300)]
+    block = np.array(b, np.int64)
+    assert res.mul(block, block.T).tolist() == [
+        [x * y % q for x, y in zip(row, col)] for row, col in zip(b, zip(*b))
+    ]
+    got = res.matmul(np.array(a, np.int64), block)
+    assert got.tolist() == _python_matmul(a, b, q)
+    long = res.matmul(np.full((1, 20000), q - 1), np.ones((20000, 1), np.int64))
+    assert long.tolist() == [[20000 * (q - 1) % q]]
+    empty = res.matmul(np.zeros((2, 0), np.int64), np.zeros((0, 3), np.int64))
+    assert empty.tolist() == [[0] * 3] * 2
 
 
 def test_backends_count_identically():
