@@ -38,7 +38,7 @@ import numpy as np
 
 from .protocols import EgdpCiphertext, EgdpPublicKey, run_dhdp_session
 from .ring import EpmMatrix, ParamMismatch, _same_params
-from .ring import as_array, basis_array, lift_array, power_stack
+from .ring import as_array, basis_array, from_array, lift_array, power_stack
 from .zpmsolve import OpCounter, PrimePower, Residues, ZpmSystem, howell_solve
 
 __all__ = [
@@ -85,7 +85,7 @@ def build_attack_system(m_mat: EpmMatrix, x: EpmMatrix, ga: EpmMatrix) -> ZpmSys
     res = Residues.of(m_mat.params)
     coeffs = lift_array(res, basis_array(res, power_stack(res, m_mat), x))
     rhs = lift_array(res, as_array(res, ga))
-    return ZpmSystem(res.params, coeffs.tolist(), rhs.ravel().tolist())
+    return ZpmSystem(res.params, coeffs, rhs.ravel())
 
 
 def apply_weights(
@@ -108,7 +108,7 @@ def apply_weights(
     total = res.matmul(
         left.transpose(1, 0, 2).reshape(m, m * m), polys.reshape(m * m, m)
     )
-    return EpmMatrix.validate(params, total.tolist())
+    return from_array(res, total)
 
 
 def attack_dhdp(
@@ -177,7 +177,7 @@ def zhang_system(
     rhs = as_array(res, ga).reshape(-1)
     if lift_rows:
         coeffs, rhs = lift_array(res, coeffs), lift_array(res, rhs)
-    return ZpmSystem(params, coeffs.tolist(), rhs.tolist())
+    return ZpmSystem(params, coeffs, rhs)
 
 
 @dataclass(frozen=True)

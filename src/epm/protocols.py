@@ -175,9 +175,7 @@ def commutation_system(m_mat: EpmMatrix) -> ZpmSystem:
     op = np.zeros((m, m, m, m), res.dtype)
     op[diag, :, diag, :] = left  # (r, s, j)
     op[:, diag, :, diag] -= right.transpose(1, 0, 2)  # (s, r, i)
-    coeffs = res.reduce(op.reshape(n, n)).tolist()
-    del op  # the m^4 array is not needed while the system is built
-    return ZpmSystem(params, coeffs, (0,) * n)
+    return ZpmSystem(params, op.reshape(n, n), np.zeros(n, res.dtype))
 
 
 class CentralizerSampler:
@@ -193,7 +191,10 @@ class CentralizerSampler:
     def __init__(self, m_mat: EpmMatrix):
         self.params = m_mat.params
         self.solutions = howell_solve(commutation_system(m_mat))
-        self.kernel = self.solutions.kernel
+
+    @property
+    def kernel(self) -> tuple[tuple[int, ...], ...]:
+        return self.solutions.kernel
 
     def sample(self, rng) -> EpmMatrix:
         return matrix_from_parameters(self.params, self.solutions.random_solution(rng))

@@ -13,11 +13,13 @@ bijectively onto matrices over Z/p^m Z with entry-wise valuation floors.
 The lift respects addition and scalar action (not products), which is what
 turns "is this matrix a central-coefficient combination of these basis
 matrices?" into an ordinary linear system mod p^m - see
-:func:`combination_system`.  A structure-blind product mod p^m has the same
-lift as the ring product, so :func:`lift_array` and the array helpers build
-the same systems from whole arrays of residues for :mod:`epm.attack` and
-:mod:`epm.protocols`.  The membership parametrisation, entry (i, j) =
-p^max(i-j,0) * t_ij, is :func:`matrix_from_parameters`.
+:func:`combination_system`.  A structure-blind product mod p^m, reduced
+row-wise by :func:`from_array`, is the ring product and has the same lift,
+so ring arithmetic runs on whole arrays of residues
+(:class:`~epm.zpmsolve.Residues`) and :func:`lift_array` builds the systems
+of :mod:`epm.attack` and :mod:`epm.protocols`.  The membership
+parametrisation, entry (i, j) = p^max(i-j,0) * t_ij, is
+:func:`matrix_from_parameters`.
 """
 
 from __future__ import annotations
@@ -105,13 +107,8 @@ class EpmMatrix:
         m = params.m
         if len(raw) != m or any(len(r) != m for r in raw):
             raise NotAMember(f"expected a {m}x{m} matrix")
-        mods = params.row_moduli
-        return cls(
-            params,
-            tuple(
-                tuple(int(v) % mods[i] for v in row) for i, row in enumerate(raw)
-            ),
-        )
+        rows = [[int(v) for v in row] for row in raw]
+        return from_array(Residues.of(params, "python"), np.array(rows, object))
 
     @classmethod
     def zero(cls, params: PrimePower) -> "EpmMatrix":
@@ -125,23 +122,12 @@ class EpmMatrix:
         if not isinstance(other, EpmMatrix):
             return NotImplemented
         _same_params(self, other)
-        mods = self.params.row_moduli
-        return EpmMatrix(
-            self.params,
-            tuple(
-                tuple((a + b) % mods[i] for a, b in zip(ra, rb))
-                for i, (ra, rb) in enumerate(zip(self.rows, other.rows))
-            ),
-        )
+        res = Residues.of(self.params)
+        return from_array(res, as_array(res, self) + as_array(res, other))
 
     def __neg__(self):
-        mods = self.params.row_moduli
-        return EpmMatrix(
-            self.params,
-            tuple(
-                tuple(-a % mods[i] for a in row) for i, row in enumerate(self.rows)
-            ),
-        )
+        res = Residues.of(self.params)
+        return from_array(res, -as_array(res, self))
 
     def __sub__(self, other):
         if not isinstance(other, EpmMatrix):
@@ -154,18 +140,8 @@ class EpmMatrix:
         if not isinstance(other, EpmMatrix):
             return NotImplemented
         _same_params(self, other)
-        m = self.params.m
-        mods = self.params.row_moduli
-        cols = tuple(zip(*other.rows))
-        return EpmMatrix(
-            self.params,
-            tuple(
-                tuple(
-                    sum(a * b for a, b in zip(row, col)) % mods[i] for col in cols
-                )
-                for i, row in enumerate(self.rows)
-            ),
-        )
+        res = Residues.of(self.params)
+        return from_array(res, res.matmul(as_array(res, self), as_array(res, other)))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -174,14 +150,9 @@ class EpmMatrix:
 
     def scale(self, r: int) -> "EpmMatrix":
         """Scalar action of r in Z/p^m Z: entry-wise product mod p^i."""
-        mods = self.params.row_moduli
-        r %= self.params.modulus
-        return EpmMatrix(
-            self.params,
-            tuple(
-                tuple(r * a % mods[i] for a in row) for i, row in enumerate(self.rows)
-            ),
-        )
+        res = Residues.of(self.params)
+        r = np.array(r % self.params.modulus, res.dtype)
+        return from_array(res, res.mul(as_array(res, self), r))
 
     def __pow__(self, k: int) -> "EpmMatrix":
         if k < 0:
@@ -206,15 +177,10 @@ class EpmMatrix:
 
 def central_matrix(params: PrimePower, z: int) -> EpmMatrix:
     """The central element represented by residue z: diag(z mod p^i)."""
-    z %= params.modulus
-    m = params.m
-    mods = params.row_moduli
-    return EpmMatrix(
-        params,
-        tuple(
-            tuple(z % mods[i] if i == j else 0 for j in range(m)) for i in range(m)
-        ),
-    )
+    res = Residues.of(params)
+    diag = np.zeros((params.m, params.m), res.dtype)
+    np.fill_diagonal(diag, z % params.modulus)
+    return from_array(res, diag)
 
 
 @dataclass(frozen=True)
@@ -256,14 +222,13 @@ class CentralPoly:
         object.__setattr__(self, "coeffs", coeffs)
 
     def evaluate(self, m_mat: EpmMatrix) -> EpmMatrix:
+        """sum_k coeffs[k] * M^k, one product of the coefficients with the
+        stacked powers of M."""
         _same_params(m_mat, self)
-        acc = EpmMatrix.zero(self.params)
-        power = EpmMatrix.identity(self.params)
-        for k, ck in enumerate(self.coeffs):
-            if k:
-                power = power * m_mat
-            acc = acc + power.scale(ck)
-        return acc
+        res, m, k = Residues.of(self.params), self.params.m, len(self.coeffs)
+        powers = power_stack(res, m_mat, k).reshape(k, m * m)
+        acc = res.matmul(np.array([self.coeffs], res.dtype), powers)
+        return from_array(res, acc.reshape(m, m))
 
 
 @dataclass(frozen=True)
@@ -301,15 +266,10 @@ class LiftedMatrix:
 def matrix_from_parameters(params: PrimePower, t: Sequence[int]) -> EpmMatrix:
     """Entry (i, j) is p^max(i-j,0) * t[i*m + j]: a member for every t, and
     each member once for t_ij below p^(min(i,j)+1)."""
-    p, m = params.p, params.m
-    mods = params.row_moduli
-    return EpmMatrix(
-        params,
-        tuple(
-            tuple(t[i * m + j] * p ** max(i - j, 0) % mods[i] for j in range(m))
-            for i in range(m)
-        ),
-    )
+    res, p, m = Residues.of(params), params.p, params.m
+    forced = [[p ** max(i - j, 0) for j in range(m)] for i in range(m)]
+    t = np.array([int(v) % params.modulus for v in t], res.dtype).reshape(m, m)
+    return from_array(res, res.mul(np.array(forced, res.dtype), t))
 
 
 def matrix_to_parameters(a: EpmMatrix) -> tuple[int, ...]:
@@ -336,16 +296,9 @@ def lift(a: EpmMatrix) -> LiftedMatrix:
 
 def unlift(f: LiftedMatrix) -> EpmMatrix:
     """The unique preimage of a lifted matrix."""
-    params = f.params
-    p, m = params.p, params.m
-    mods = params.row_moduli
-    return EpmMatrix(
-        params,
-        tuple(
-            tuple(v // p ** (m - 1 - i) % mods[i] for v in row)
-            for i, row in enumerate(f.rows)
-        ),
-    )
+    p, m = f.params.p, f.params.m
+    rows = [[v // p ** (m - 1 - i) for v in row] for i, row in enumerate(f.rows)]
+    return EpmMatrix.validate(f.params, rows)
 
 
 def as_array(res: Residues, a: EpmMatrix) -> np.ndarray:
@@ -353,13 +306,26 @@ def as_array(res: Residues, a: EpmMatrix) -> np.ndarray:
     return np.array(a.rows, res.dtype)
 
 
-def power_stack(res: Residues, m_mat: EpmMatrix) -> np.ndarray:
-    """M^0, ..., M^(m-1) as one (m, m, m) array: m - 1 matmuls."""
+def from_array(res: Residues, a: np.ndarray) -> EpmMatrix:
+    """The ring element whose row i is row i of the m x m residue array
+    ``a`` mod p^(i+1).  A structure-blind product mod p^m of ring elements
+    reduced this way is their ring product."""
+    mods = res.params.row_moduli
+    if res.dtype is np.uint64:
+        # Masks, not moduli: 2^64 itself does not fit in uint64.
+        a = a & np.array([r - 1 for r in mods], np.uint64)[:, None]
+    else:
+        a = a % np.array(mods, res.dtype)[:, None]
+    return EpmMatrix(res.params, tuple(map(tuple, a.tolist())))
+
+
+def power_stack(res: Residues, m_mat: EpmMatrix, n: int = 0) -> np.ndarray:
+    """M^0, ..., M^(n-1), n = m unless given, as one (n, m, m) array."""
     m = res.params.m
-    base = as_array(res, m_mat)
-    out = np.empty((m, m, m), res.dtype)
+    base, n = as_array(res, m_mat), n or m
+    out = np.empty((n, m, m), res.dtype)
     out[0] = np.eye(m, dtype=res.dtype)
-    for k in range(1, m):
+    for k in range(1, n):
         out[k] = res.matmul(out[k - 1], base)
     return out
 
@@ -415,9 +381,7 @@ def combination_system(
     for b in basis:
         _same_params(b, target)
         lifted.append(lift(b).flatten())
-    rhs = lift(target).flatten()
-    coeffs = tuple(tuple(col[idx] for col in lifted) for idx in range(len(rhs)))
-    return ZpmSystem(params, coeffs, rhs)
+    return ZpmSystem(params, list(zip(*lifted)), lift(target).flatten())
 
 
 def solve_combination(

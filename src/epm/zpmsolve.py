@@ -23,6 +23,7 @@ operation count are the same in every dtype.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,7 +57,12 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 class InconsistentSystem(Exception):
-    """The linear system has no solution over Z/p^m Z."""
+    """The linear system has no solution over Z/p^m Z.  ``column`` is the
+    pivot column without a preimage, None for a contradictory zero row."""
+
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column
 
 
 class EnumerationCapExceeded(Exception):
@@ -153,57 +159,86 @@ class OpCounter:
         return f"OpCounter(muls={self.muls})"
 
 
-@dataclass(frozen=True)
 class ZpmSystem:
-    """A linear system coeffs . x = rhs over Z/p^m Z, stored canonically."""
+    """A linear system coeffs . x = rhs over Z/p^m Z, stored canonically.
 
-    params: PrimePower
-    coeffs: tuple[tuple[int, ...], ...]
-    rhs: tuple[int, ...]
+    ``aug`` is one read-only residue array, coeffs | rhs, in the dtype
+    :meth:`Residues.of` picks.  ``coeffs`` and ``rhs`` are given as integer
+    numpy arrays or as sequences of integers, and read back as tuples.
+    """
 
-    def __post_init__(self):
-        q = self.params.modulus
-        coeffs = tuple(tuple(int(v) % q for v in row) for row in self.coeffs)
-        rhs = tuple(int(v) % q for v in self.rhs)
-        if not coeffs or not coeffs[0]:
+    def __init__(self, params: PrimePower, coeffs, rhs):
+        self.params, q = params, params.modulus
+        # Sequences entry by entry, exact for numpy scalars and ints past 2^64.
+        if not isinstance(coeffs, np.ndarray):
+            coeffs = np.array([[int(v) % q for v in row] for row in coeffs], object)
+        if not isinstance(rhs, np.ndarray):
+            rhs = np.array([int(v) % q for v in rhs], object)
+        if not coeffs.size:
             raise ValueError("system needs at least one row and one column")
-        cols = len(coeffs[0])
-        if any(len(row) != cols for row in coeffs):
+        if coeffs.ndim != 2:
             raise ValueError("ragged coefficient rows")
-        if len(rhs) != len(coeffs):
+        if rhs.shape != coeffs.shape[:1]:
             raise ValueError("rhs length does not match row count")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rhs", rhs)
+        self.rows, self.cols = coeffs.shape
+        res = Residues.of(params)
+        if coeffs.dtype != res.dtype or rhs.dtype != res.dtype:
+            # Reduced exactly as Python ints first.
+            coeffs, rhs = coeffs.astype(object) % q, rhs.astype(object) % q
+        aug = np.column_stack((coeffs, rhs)).astype(res.dtype, copy=False)
+        self.aug = res.reduce(aug)
+        self.aug.flags.writeable = False
 
-    @property
-    def rows(self) -> int:
-        return len(self.coeffs)
+    @cached_property
+    def coeffs(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.aug[:, :-1].tolist()))
 
-    @property
-    def cols(self) -> int:
-        return len(self.coeffs[0])
+    @cached_property
+    def rhs(self) -> tuple[int, ...]:
+        return tuple(self.aug[:, -1].tolist())
+
+    def __eq__(self, other):
+        same = isinstance(other, ZpmSystem) and self.params == other.params
+        return same and np.array_equal(self.aug, other.aug)
 
 
-@dataclass(frozen=True)
 class SolutionSet:
     """Particular solution plus generators of the homogeneous solutions.
 
     The full solution set is ``particular + sum t_k * kernel[k]`` over all
     coefficient choices t_k in Z/p^m Z.  Generators are neither minimal nor
     unique; only the spanned set is meaningful.
+
+    ``x`` is the read-only back-substitution block, given or built from the
+    vectors: column 0 is the particular solution, the others the kernel.
     """
 
-    params: PrimePower
-    particular: tuple[int, ...]
-    kernel: tuple[tuple[int, ...], ...]
+    def __init__(self, params: PrimePower, particular=(), kernel=(), *, x=None):
+        self.params = params
+        if x is None:
+            q, dtype = params.modulus, Residues.of(params).dtype
+            vectors = (particular, *kernel)
+            x = np.array([[int(v) % q for v in u] for u in vectors], dtype).T
+        x.flags.writeable = False
+        self.x = x
+
+    @cached_property
+    def particular(self) -> tuple[int, ...]:
+        return tuple(self.x[:, 0].tolist())
+
+    @cached_property
+    def kernel(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.x[:, 1:].T.tolist()))
+
+    def __eq__(self, other):
+        same = isinstance(other, SolutionSet) and self.params == other.params
+        return same and np.array_equal(self.x, other.x)
 
     def random_solution(self, rng) -> tuple[int, ...]:
         """particular plus a uniformly weighted kernel combination."""
         q, res = self.params.modulus, Residues.of(self.params)
-        w = np.array([[rng.randrange(q) for _ in self.kernel]], res.dtype)
-        gens = np.array(self.kernel, res.dtype).reshape(len(self.kernel), -1)
-        x = np.array(self.particular, res.dtype) + res.matmul(w, gens)[0]
-        return tuple(res.reduce(x).tolist())
+        w = [[1]] + [[rng.randrange(q)] for _ in range(self.x.shape[1] - 1)]
+        return tuple(res.matmul(self.x, np.array(w, res.dtype))[:, 0].tolist())
 
 
 #: Rows per in-place elimination update.  Bounds the temporaries, which on the
@@ -236,6 +271,7 @@ class Residues:
     reduce: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
+    @functools.cache
     def of(cls, params: PrimePower, backend: str | None = None) -> "Residues":
         if backend not in (None, "python"):
             raise ValueError(f"unknown backend {backend!r}")
@@ -318,14 +354,13 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
     """Eliminate column by column; return the normalised pivot rows and the
     (column, valuation) of each, or raise InconsistentSystem."""
     p, m, q = system.params.p, system.params.m, system.params.modulus
-    c = system.cols
-    dtype, reduce = res.dtype, res.reduce
+    c, n = system.cols, system.rows
+    reduce = res.reduce
     # Rows are augmented: c coefficients, then the rhs.  The n candidate rows
     # stay compacted at the top of `cand`, in candidate order; a pivot removes
     # one and adds at most one completion row.
-    cand = np.array([row + (b,) for row, b in zip(system.coeffs, system.rhs)], dtype)
-    n = system.rows
-    prows = np.zeros((c, c + 1), dtype)
+    cand = system.aug.astype(res.dtype)
+    prows = np.zeros((c, c + 1), res.dtype)
     pivots = []  # (column, valuation) of prows[0], prows[1], ...
     for col in range(c):
         found = _find_pivot(cand[:n, col], p)
@@ -414,7 +449,7 @@ def howell_solve(
         if v > 0:
             if (d % p**v).any():
                 # Completion rows guarantee this never fires on kernel columns.
-                raise InconsistentSystem(f"no preimage for pivot column {col}")
+                raise InconsistentSystem(f"no preimage for pivot column {col}", col)
             d //= p**v
         x[col] += d
     # The generators' share, charged as separate passes would be: a torsion
@@ -422,8 +457,7 @@ def howell_solve(
     width = sum(c - col - 1 for col, _ in pivots)
     counter.add(width * len(seeds) - sum(c - col - 1 for col in kept))
 
-    cols = [tuple(x[:, j].tolist()) for j in range(x.shape[1])]
-    return SolutionSet(params, cols[0], tuple(cols[1:]))
+    return SolutionSet(params, x=x)
 
 
 def is_solution(system: ZpmSystem, x: Sequence[int]) -> bool:

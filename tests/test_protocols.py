@@ -31,7 +31,7 @@ from epm.protocols import (
     run_dhdp_session,
     run_egdp_session,
 )
-from epm.zpmsolve import PrimePower, is_solution
+from epm.zpmsolve import OpCounter, PrimePower, howell_solve, is_solution
 
 from conftest import span_closure
 
@@ -280,3 +280,14 @@ def test_egdp_tampered_ciphertext():
 
     tampered = EgdpCiphertext(ct.F, ct.D + central_matrix(params, 1))
     assert egdp_decrypt(kp.private, tampered) == s + central_matrix(params, 1)
+
+
+def test_commutation_solve_op_count_at_workload_scale():
+    # The commutation solve of the benchmark's p = 2, m = 20 sessions: its
+    # OpCounter total and kernel size are pinned, so any change to the
+    # elimination that moves the count shows at the size that is timed.
+    matrix = random_matrix(PrimePower(2, 20), random.Random(5))
+    counter = OpCounter()
+    sol = howell_solve(commutation_system(matrix), counter=counter)
+    assert counter.muls == 59107867
+    assert len(sol.kernel) == 400

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -431,3 +432,57 @@ def test_plain_lift_rejects_an_entry_below_its_floor(golden):
     basis[2, 1] += 1  # position (1, 0): its lift must be divisible by 5
     with pytest.raises(NotInImage, match=r"\(1,0\)"):
         lift_array(res, basis)
+
+
+# --- ring products at every tier switch, against Python integers -------------
+
+
+def _ring_product(a_rows, b_rows, mods):
+    """Row i of the Python-int product a * b, mod p^(i+1)."""
+    cols = list(zip(*b_rows))
+    return tuple(
+        tuple(sum(map(operator.mul, row, col)) % mods[i] for col in cols)
+        for i, row in enumerate(a_rows)
+    )
+
+
+@pytest.mark.parametrize(
+    "p,m",
+    [
+        (2, 1), (2, 63), (2, 64), (2, 65),  # uint64 up to m = 64: row modulus 2^64
+        (3, 19), (3, 20), (3, 31), (3, 32),  # int64 narrow, wide, then object
+        (5, 21), (5, 22),  # the last wide int64 modulus, then object
+    ],
+)
+def test_ring_products_match_python_ints_at_tier_switches(p, m):
+    params = PrimePower(p, m)
+    mods, q = params.row_moduli, params.modulus
+    rng = random.Random(100 * p + m)
+    a, b = random_matrix(params, rng), random_matrix(params, rng)
+    # The largest member: every entry as large as its row and its floor allow.
+    big = EpmMatrix(params, tuple(
+        tuple(mods[i] - p ** max(i - j, 0) for j in range(m)) for i in range(m)
+    ))
+    for left, right in ((a, b), (b, a), (a, big), (big, big)):
+        assert (left * right).rows == _ring_product(left.rows, right.rows, mods)
+    for r in (q - 1, rng.randrange(q), -rng.randrange(1, q), q + 3):
+        expected = tuple(
+            tuple(r * v % mods[i] for v in row) for i, row in enumerate(big.rows)
+        )
+        assert big.scale(r).rows == (r * big).rows == (big * r).rows == expected
+    # Full-degree polynomials where the int64 matmul chunks its contraction
+    # (m <= 31 here); past that a shorter Python reference chain suffices.
+    degree = m - 1 if m <= 32 else 8
+    identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    powers = [identity]
+    for _ in range(max(degree, 2)):
+        powers.append(_ring_product(powers[-1], a.rows, mods))
+    for e in {0, 1, 2, degree}:
+        assert (a**e).rows == powers[e]
+    poly = random_central_poly(params, rng, degree)
+    expected = tuple(
+        tuple(sum(c * pw[i][j] for c, pw in zip(poly.coeffs, powers)) % mods[i]
+              for j in range(m))
+        for i in range(m)
+    )
+    assert poly.evaluate(a).rows == expected

@@ -378,3 +378,108 @@ def test_solution_set_roundtrip_fields(golden):
     sol = SolutionSet(golden.params, (1, 2), ((0, 5),))
     assert sol.particular == (1, 2)
     assert sol.kernel == ((0, 5),)
+
+
+# --- the array-backed system and its two constructors -------------------------
+
+
+@pytest.mark.parametrize("p,m", BOUNDARY_MODULI)
+def test_array_and_nested_constructors_agree(p, m):
+    params = PrimePower(p, m)
+    system = _boundary_system(random.Random(p + m), params, rows=5, cols=4)
+    nested = [list(row) for row in system.coeffs], list(system.rhs)
+    dtype = Residues.of(params).dtype
+    from_lists = ZpmSystem(params, *nested)
+    arrays = ZpmSystem(params, *(np.array(part, dtype) for part in nested))
+    assert arrays.aug.dtype == dtype
+    assert arrays.coeffs == from_lists.coeffs == system.coeffs
+    assert arrays.rhs == from_lists.rhs == system.rhs
+    assert arrays == from_lists
+    assert (arrays.rows, arrays.cols) == (from_lists.rows, from_lists.cols) == (5, 4)
+    for backend in (None, "python"):
+        assert _solve_outcome(arrays, backend) == _solve_outcome(from_lists, backend)
+
+
+@pytest.mark.parametrize("p,m", [(2, 5), (2, 64), (3, 4), (3, 20), (5, 22)])
+def test_constructors_reduce_every_integer_exactly(p, m):
+    params = PrimePower(p, m)
+    q = params.modulus
+    raw = [[-1, q, q + 5, 2**64 + 7], [-q - 2, 3 * q - 1, 2**70 + 1, 0]]
+    rhs = [-(2**65), q - 1]
+    expected = (
+        tuple(tuple(v % q for v in row) for row in raw), tuple(v % q for v in rhs)
+    )
+    from_lists = ZpmSystem(params, raw, rhs)
+    from_objects = ZpmSystem(params, np.array(raw, object), np.array(rhs, object))
+    small = [[v % 2**40 - 2**39 for v in row] for row in raw]
+    from_int64 = ZpmSystem(params, np.array(small, np.int64), np.array(rhs, object))
+    for system in (from_lists, from_objects):
+        assert (system.coeffs, system.rhs) == expected
+    assert from_int64.coeffs == tuple(tuple(v % q for v in row) for row in small)
+    assert from_int64.rhs == expected[1]
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_constructors_reject_malformed_shapes(as_array):
+    params = PrimePower(3, 2)
+
+    def build(coeffs, rhs):
+        if as_array:
+            coeffs, rhs = np.array(coeffs, object), np.array(rhs, object)
+        return ZpmSystem(params, coeffs, rhs)
+
+    with pytest.raises(ValueError, match="at least one row and one column"):
+        build([], [])
+    with pytest.raises(ValueError, match="at least one row and one column"):
+        build([[], []], [0, 0])
+    with pytest.raises(ValueError, match="ragged"):
+        build([[1, 2], [3]], [0, 0])
+    with pytest.raises(ValueError, match="rhs length"):
+        build([[1, 2], [3, 4]], [0])
+    with pytest.raises(ValueError, match="rhs length"):
+        build([[1, 2], [3, 4]], [0, 1, 2])
+
+
+def test_stored_arrays_are_read_only():
+    params = PrimePower(2, 6)
+    coeffs = np.arange(6, dtype=np.uint64).reshape(2, 3)
+    system = ZpmSystem(params, coeffs, np.zeros(2, np.uint64))
+    coeffs[0, 0] = 9  # the caller's array is copied, not kept
+    assert system.coeffs[0][0] == 0
+    with pytest.raises(ValueError):
+        system.aug[0, 0] = 1
+    sol = howell_solve(system)
+    with pytest.raises(ValueError):
+        sol.x[0, 0] = 1
+
+
+def test_residues_of_is_memoised():
+    params = PrimePower(3, 20)
+    assert Residues.of(params) is Residues.of(PrimePower(3, 20))
+    assert Residues.of(params, "python") is Residues.of(params, "python")
+    assert Residues.of(params).dtype is np.int64
+    assert Residues.of(params, "python").dtype is object
+
+
+def test_inconsistent_zero_row_has_no_column():
+    # x = 7 and 5x = 1 mod 8 contradict each other: 5 * 7 = 35 = 3 mod 8.
+    system = ZpmSystem(PrimePower(2, 3), ((1,), (5,)), (7, 1))
+    with pytest.raises(InconsistentSystem) as info:
+        howell_solve(system)
+    assert str(info.value) == "contradictory zero row"
+    assert info.value.column is None
+
+
+def test_inconsistent_back_substitution_names_its_pivot_column(monkeypatch):
+    # Completion rows make this site unreachable for a real echelon form, so
+    # hand back-substitution a pivot 2 * x1 = 1 mod 4 with no preimage.
+    import epm.zpmsolve as zpmsolve
+
+    params = PrimePower(2, 2)
+    prows = np.array([[0, 2, 1]], np.uint64)
+    monkeypatch.setattr(zpmsolve, "_echelon", lambda *_: (prows, [(1, 1)]))
+    system = ZpmSystem(params, ((0, 2),), (1,))
+    with pytest.raises(InconsistentSystem) as info:
+        howell_solve(system)
+    assert str(info.value) == "no preimage for pivot column 1"
+    assert info.value.column == 1
