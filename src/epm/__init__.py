@@ -17,7 +17,6 @@ from .zpmsolve import (
 from .ring import (
     EpmMatrix,
     LiftedMatrix,
-    CentralElement,
     CentralPoly,
     NotAMember,
     ParamMismatch,
@@ -26,7 +25,6 @@ from .ring import (
     lift,
     unlift,
     combination_system,
-    solve_combination,
     cayley_hamilton_coeffs,
     random_matrix,
     random_central_poly,
@@ -41,7 +39,6 @@ from .protocols import (
     EgdpPrivateKey,
     EgdpKeyPair,
     EgdpCiphertext,
-    centralizer_sample,
     CentralizerSampler,
     dhdp_setup,
     dhdp_alice,

@@ -16,9 +16,9 @@ structure-blind product and the ring product have the same lift, and they
 are equal once reduced row-wise.  The basis and its lift are one GEMM
 over the powers of M, O(m^5) operations.  The weights are applied as
 sum_i M^i * GB * P_i(M) with P_i = sum_j w_ij M^j, which is O(m^4)
-operations.  :func:`sandwich_basis` and :func:`~epm.ring.combination_system`
-are the ring-level reference definitions the array path agrees with bit for
-bit.
+operations.  The weight system equals
+:func:`~epm.ring.combination_system` over the ring products M^i * X * M^j
+bit for bit.
 
 :func:`zhang_system` builds, for demonstration, the defective flat-modulus
 variant of the same idea (digit unknowns for the central coefficients, every
@@ -37,12 +37,11 @@ from typing import Sequence
 import numpy as np
 
 from .protocols import EgdpCiphertext, EgdpPublicKey, run_dhdp_session
-from .ring import EpmMatrix, ParamMismatch, _same_params
+from .ring import EpmMatrix, ParamMismatch
 from .ring import as_array, basis_array, from_array, lift_array, power_stack
 from .zpmsolve import OpCounter, PrimePower, Residues, ZpmSystem, howell_solve
 
 __all__ = [
-    "sandwich_basis",
     "build_attack_system",
     "apply_weights",
     "attack_dhdp",
@@ -54,32 +53,12 @@ __all__ = [
 ]
 
 
-def sandwich_basis(m_mat: EpmMatrix, center: EpmMatrix) -> tuple[EpmMatrix, ...]:
-    """All m^2 products M^i * center * M^j, row-major over (i, j).
-
-    Built incrementally from cached powers: O(m^2) ring multiplications.
-    """
-    _same_params(m_mat, center)
-    m = m_mat.params.m
-    powers = [EpmMatrix.identity(m_mat.params)]
-    for _ in range(m - 1):
-        powers.append(powers[-1] * m_mat)
-    out = []
-    for i in range(m):
-        cur = powers[i] * center if i else center
-        out.append(cur)
-        for _ in range(m - 1):
-            cur = cur * m_mat
-            out.append(cur)
-    return tuple(out)
-
-
 def build_attack_system(m_mat: EpmMatrix, x: EpmMatrix, ga: EpmMatrix) -> ZpmSystem:
     """Lifted weight system for GA over the products M^i * X * M^j.
 
-    Column k holds the flattened lift of ``sandwich_basis(M, X)[k]``, so the
-    system equals ``combination_system(sandwich_basis(M, X), GA)``; it is
-    built from array products.  Guaranteed consistent whenever GA was
+    Column i*m + j holds the flattened lift of M^i * X * M^j, so the system
+    equals ``combination_system`` over those products; it is built from
+    array products.  Guaranteed consistent whenever GA was
     honestly produced by masking X with central-coefficient polynomials in M.
     """
     res = Residues.of(m_mat.params)
@@ -144,23 +123,17 @@ def attack_egdp(
     return ct.D - attack_dhdp(pub.M, pub.N, pub.E, ct.F, counter=counter)
 
 
-def zhang_system(
-    m_mat: EpmMatrix,
-    x: EpmMatrix,
-    ga: EpmMatrix,
-    *,
-    lift_rows: bool = False,
-) -> ZpmSystem:
+def zhang_system(m_mat: EpmMatrix, x: EpmMatrix, ga: EpmMatrix) -> ZpmSystem:
     """The digit-unknown system with every congruence forced mod p^m.
 
     Central coefficients W_ij are written via their base-p digits
     a_0 + p*a_1 + ... (row r of W_ij only sees digits 0..r), giving m^2
     equations in m^3 unknowns for GA = sum W_ij * M^i * X * M^j.  The row-r
     matrix identities only hold mod p^(r+1); flattening them all to mod p^m
-    (``lift_rows=False``) is the defective construction and generally has no
-    solution.  ``lift_rows=True`` rescales row-r congruences by p^(m-1-r)
-    instead, which is equivalent to the true system and stays consistent on
-    honest inputs.
+    is the defective construction and generally has no solution.  Rescaling
+    row-r congruences by p^(m-1-r) instead, as :func:`~epm.ring.lift_array`
+    does to the rows of this system, gives the true system, which stays
+    consistent on honest inputs.
 
     Unknown a_k^(ij) sits at column (i*m + j)*m + k; digit unknowns are
     treated as unconstrained residues mod p^m, which only enlarges the
@@ -174,10 +147,7 @@ def zhang_system(
     basis = basis_array(res, power_stack(res, m_mat), x).reshape(m, m, m * m, 1)
     digits = np.tril(np.tile(np.array([p**k for k in range(m)], res.dtype), (m, 1)))
     coeffs = res.reduce(res.mul(basis, digits[:, None, None, :]).reshape(m * m, -1))
-    rhs = as_array(res, ga).reshape(-1)
-    if lift_rows:
-        coeffs, rhs = lift_array(res, coeffs), lift_array(res, rhs)
-    return ZpmSystem(params, coeffs, rhs)
+    return ZpmSystem(params, coeffs, as_array(res, ga).reshape(-1))
 
 
 @dataclass(frozen=True)

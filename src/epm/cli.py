@@ -173,6 +173,8 @@ def _cmd_bench(args) -> int:
         raise ParseError(f"bad --m-list {args.m_list!r}") from None
     if not m_values:
         raise ParseError("--m-list is empty")
+    if len(set(m_values)) != len(m_values):
+        raise ParseError(f"--m-list repeats an m value: {args.m_list!r}")
     for m in m_values:
         _check_size(m, args.allow_huge)
     rng = make_rng(args.seed, "bench")

@@ -42,7 +42,6 @@ __all__ = [
     "EgdpCiphertext",
     "commutation_system",
     "CentralizerSampler",
-    "centralizer_sample",
     "dhdp_setup",
     "dhdp_alice",
     "dhdp_bob",
@@ -200,11 +199,6 @@ class CentralizerSampler:
         return matrix_from_parameters(self.params, self.solutions.random_solution(rng))
 
 
-def centralizer_sample(m_mat: EpmMatrix, rng) -> EpmMatrix:
-    """One-shot draw from the centralizer of m_mat."""
-    return CentralizerSampler(m_mat).sample(rng)
-
-
 def dhdp_setup(params: PrimePower, rng) -> tuple[EpmMatrix, EpmMatrix]:
     """Public parameters: random M, then X resampled until the pair does not
     commute."""
@@ -265,12 +259,11 @@ def run_dhdp_session(params: PrimePower, rng) -> DhdpSession:
 
 
 def egdp_keygen(params: PrimePower, rng) -> EgdpKeyPair:
+    """A DHDP public pair (M, N) with Alice's masking of N as E."""
     m_mat, n_mat = dhdp_setup(params, rng)
-    f1 = random_central_poly(params, rng, params.m - 1)
-    f2 = random_central_poly(params, rng, params.m - 1)
-    e = f1.evaluate(m_mat) * n_mat * f2.evaluate(m_mat)
+    priv, e = dhdp_alice(m_mat, n_mat, rng)
     return EgdpKeyPair(
-        EgdpPublicKey(m_mat, n_mat, e), EgdpPrivateKey(m_mat, f1, f2)
+        EgdpPublicKey(m_mat, n_mat, e), EgdpPrivateKey(m_mat, priv.f1, priv.f2)
     )
 
 

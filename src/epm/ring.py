@@ -17,9 +17,10 @@ matrices?" into an ordinary linear system mod p^m - see
 row-wise by :func:`from_array`, is the ring product and has the same lift,
 so ring arithmetic runs on whole arrays of residues
 (:class:`~epm.zpmsolve.Residues`) and :func:`lift_array` builds the systems
-of :mod:`epm.attack` and :mod:`epm.protocols`.  The membership
-parametrisation, entry (i, j) = p^max(i-j,0) * t_ij, is
-:func:`matrix_from_parameters`.
+of :mod:`epm.attack` and :mod:`epm.protocols`.  :func:`combination_system`,
+on ring elements and :func:`lift`, is the definition those array systems
+reproduce bit for bit.  The membership parametrisation, entry (i, j) =
+p^max(i-j,0) * t_ij, is :func:`matrix_from_parameters`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 
 from .zpmsolve import (
     InconsistentSystem,
-    OpCounter,
     PrimePower,
     Residues,
     ZpmSystem,
@@ -42,7 +42,6 @@ from .zpmsolve import (
 __all__ = [
     "EpmMatrix",
     "LiftedMatrix",
-    "CentralElement",
     "CentralPoly",
     "NotAMember",
     "ParamMismatch",
@@ -53,7 +52,6 @@ __all__ = [
     "lift",
     "unlift",
     "combination_system",
-    "solve_combination",
     "cayley_hamilton_coeffs",
     "random_matrix",
     "random_central_poly",
@@ -181,26 +179,6 @@ def central_matrix(params: PrimePower, z: int) -> EpmMatrix:
     diag = np.zeros((params.m, params.m), res.dtype)
     np.fill_diagonal(diag, z % params.modulus)
     return from_array(res, diag)
-
-
-@dataclass(frozen=True)
-class CentralElement:
-    """A residue mod p^m identified with its diagonal central matrix."""
-
-    params: PrimePower
-    z: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", self.z % self.params.modulus)
-
-    def matrix(self) -> EpmMatrix:
-        return central_matrix(self.params, self.z)
-
-    @classmethod
-    def from_matrix(cls, a: EpmMatrix) -> "CentralElement":
-        if not a.is_central():
-            raise NotAMember("matrix is not central")
-        return cls(a.params, a.rows[-1][-1])
 
 
 @dataclass(frozen=True)
@@ -384,19 +362,6 @@ def combination_system(
     return ZpmSystem(params, list(zip(*lifted)), lift(target).flatten())
 
 
-def solve_combination(
-    basis: Sequence[EpmMatrix],
-    target: EpmMatrix,
-    *,
-    counter: OpCounter | None = None,
-) -> tuple[int, ...]:
-    """One coefficient vector expressing target over the basis, if any."""
-    sol = howell_solve(
-        combination_system(basis, target), with_kernel=False, counter=counter
-    )
-    return sol.particular
-
-
 def cayley_hamilton_coeffs(a: EpmMatrix) -> tuple[int, ...]:
     """Residues (a_0, ..., a_{m-1}) with a^m = sum_k a_k * a^k.
 
@@ -404,12 +369,11 @@ def cayley_hamilton_coeffs(a: EpmMatrix) -> tuple[int, ...]:
     elements) and are generally not unique; the solver's deterministic
     particular solution is returned.
     """
-    m = a.params.m
-    powers = [EpmMatrix.identity(a.params)]
-    for _ in range(m):
-        powers.append(powers[-1] * a)
+    res = Residues.of(a.params)
+    powers = [from_array(res, pw) for pw in power_stack(res, a, a.params.m + 1)]
+    system = combination_system(powers[:-1], powers[-1])
     try:
-        return solve_combination(powers[:m], powers[m])
+        return howell_solve(system, with_kernel=False).particular
     except InconsistentSystem as exc:  # pragma: no cover - would be a bug
         raise RuntimeError("power reduction must always be solvable") from exc
 

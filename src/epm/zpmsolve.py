@@ -209,16 +209,12 @@ class SolutionSet:
     coefficient choices t_k in Z/p^m Z.  Generators are neither minimal nor
     unique; only the spanned set is meaningful.
 
-    ``x`` is the read-only back-substitution block, given or built from the
-    vectors: column 0 is the particular solution, the others the kernel.
+    ``x`` is the read-only back-substitution block: column 0 is the
+    particular solution, the others the kernel.
     """
 
-    def __init__(self, params: PrimePower, particular=(), kernel=(), *, x=None):
+    def __init__(self, params: PrimePower, x: np.ndarray):
         self.params = params
-        if x is None:
-            q, dtype = params.modulus, Residues.of(params).dtype
-            vectors = (particular, *kernel)
-            x = np.array([[int(v) % q for v in u] for u in vectors], dtype).T
         x.flags.writeable = False
         self.x = x
 
@@ -457,7 +453,7 @@ def howell_solve(
     width = sum(c - col - 1 for col, _ in pivots)
     counter.add(width * len(seeds) - sum(c - col - 1 for col in kept))
 
-    return SolutionSet(params, x=x)
+    return SolutionSet(params, x)
 
 
 def is_solution(system: ZpmSystem, x: Sequence[int]) -> bool:

@@ -12,7 +12,6 @@ from epm.attack import (
     attack_egdp,
     bench_attack,
     build_attack_system,
-    sandwich_basis,
     summarize_bench,
     zhang_system,
 )
@@ -27,14 +26,20 @@ from epm.ring import (
     CentralPoly,
     EpmMatrix,
     ParamMismatch,
+    basis_array,
     central_matrix,
     combination_system,
+    from_array,
+    lift_array,
+    power_stack,
     random_matrix,
 )
 from epm.zpmsolve import (
     InconsistentSystem,
     OpCounter,
     PrimePower,
+    Residues,
+    ZpmSystem,
     howell_solve,
     is_solution,
 )
@@ -51,11 +56,10 @@ def test_attack_system_golden(golden):
     assert is_solution(system, golden.lam)
 
 
-def test_sandwich_basis_matches_direct_products(golden):
-    basis = sandwich_basis(golden.M, golden.X)
-    m = golden.params.m
-    for idx, (i, j) in enumerate(itertools.product(range(m), repeat=2)):
-        assert basis[idx] == golden.M**i * golden.X * golden.M**j
+def direct_products(m_mat, x):
+    """M^i * X * M^j as ring products, row-major over (i, j)."""
+    m = m_mat.params.m
+    return [m_mat**i * x * m_mat**j for i, j in itertools.product(range(m), repeat=2)]
 
 
 @st.composite
@@ -65,11 +69,29 @@ def ring_triples(draw):
     return [random_matrix(params, rng) for _ in range(3)]
 
 
+def test_sandwich_basis_matches_direct_products(golden):
+    # One ring per residue tier: uint64, int64, wide int64, object; and m = 1.
+    rng = random.Random(9)
+    pairs = [(golden.M, golden.X)] + [
+        (random_matrix(params, rng), random_matrix(params, rng))
+        for params in (
+            PrimePower(2, 5), PrimePower(3, 4), PrimePower(65537, 2),
+            PrimePower(2147483647, 2), PrimePower(7, 1),
+        )
+    ]
+    for m_mat, x in pairs:
+        m = m_mat.params.m
+        res = Residues.of(m_mat.params)
+        basis = basis_array(res, power_stack(res, m_mat), x)
+        for k, product in enumerate(direct_products(m_mat, x)):
+            assert from_array(res, basis[:, k].reshape(m, m)) == product
+
+
 @settings(max_examples=60, deadline=None)
 @given(ring_triples())
 def test_array_system_equals_the_reference_definition(triple):
     m_mat, x, ga = triple
-    reference = combination_system(sandwich_basis(m_mat, x), ga)
+    reference = combination_system(direct_products(m_mat, x), ga)
     assert build_attack_system(m_mat, x, ga) == reference
 
 
@@ -270,13 +292,15 @@ def _digit_assignments_solving(system, p, m):
 
 def test_zhang_lifted_mode_is_consistent_and_digit_solvable(golden):
     p, m = golden.params.p, golden.params.m
-    lifted = zhang_system(golden.M, golden.X, golden.GA, lift_rows=True)
+    naive = zhang_system(golden.M, golden.X, golden.GA)
+    # Row-scaling each congruence of the flat system gives the true one.
+    aug = lift_array(Residues.of(golden.params), naive.aug)
+    lifted = ZpmSystem(golden.params, aug[:, :-1], aug[:, -1])
     sol = howell_solve(lifted)
     assert is_solution(lifted, sol.particular)
     digit_solutions = _digit_assignments_solving(lifted, p, m)
     assert len(digit_solutions) > 0
     # and the same digit oracle confirms the flat-modulus system really is empty
-    naive = zhang_system(golden.M, golden.X, golden.GA)
     assert len(_digit_assignments_solving(naive, p, m)) == 0
 
 

@@ -127,6 +127,39 @@ def test_outputs_match_pinned_digests(workdir):
         assert _sha256(repr((sol.particular, sol.kernel)).encode()) == PINNED_KERNEL_DIGEST
 
 
+# SHA-256 of the public key, private key and ciphertext files written by
+# `egdp-keygen --seed 11` and `egdp-encrypt --seed 12` on the secret drawn by
+# random_matrix(params, random.Random(5)).
+PINNED_EGDP_FILES = {
+    (3, 3): (
+        "822dcd832704f5c41f8b91a911eeaeb7ceee1190a1ff3a6a5fe1976c177ae7af",
+        "05a82648fbf19cd52fef46fbe5a056bfd22fe1a011ea03e2bae3f6431707017c",
+        "1f93fd8ce00844e688e4252ffc4fdef238452826d09b3ee05b89031e60d2aaaf",
+    ),
+    (2, 5): (
+        "c8e10c882db16e2322817eb9260052ca276052e0ad3daab17d36bf3e06d3163d",
+        "25e2043ab74c56a5b32d06ec5dccd03bf5a0e4b0f2ce378e51f05a48f2baf5df",
+        "fd64da7a285e17181f34cd120574d686135c9c07cc4bf3b1ca38ece51a23c599",
+    ),
+}
+
+
+@pytest.mark.parametrize("p,m", PINNED_EGDP_FILES)
+def test_egdp_outputs_match_pinned_digests(workdir, p, m):
+    pub, priv, secret, ct = (workdir / f"{n}.epm" for n in ("pub", "priv", "S", "ct"))
+    assert run(
+        ["egdp-keygen", "--p", p, "--m", m, "--seed", 11, "--pub-out", pub,
+         "--priv-out", priv]
+    ) == 0
+    s_mat = random_matrix(PrimePower(p, m), random.Random(5))
+    secret.write_text(write_transcript(secret_file(s_mat)), newline="")
+    assert run(
+        ["egdp-encrypt", "--pub", pub, "--secret", secret, "--seed", 12, "--out", ct]
+    ) == 0
+    digests = tuple(_sha256(f.read_bytes()) for f in (pub, priv, ct))
+    assert digests == PINNED_EGDP_FILES[(p, m)]
+
+
 def test_egdp_cli_flow(workdir):
     pub = workdir / "pub.epm"
     priv = workdir / "priv.epm"
@@ -283,6 +316,18 @@ def test_bench_refuses_reps_below_one(workdir, capsys, reps):
     ) == 2
     assert not out.exists()
     assert "--reps" in capsys.readouterr().err
+
+
+def test_bench_refuses_a_repeated_m(workdir, capsys):
+    # A repeated m would merge its records into one summary group.
+    out = workdir / "x.csv"
+    assert run(
+        ["bench", "--p", 2, "--m-list", "3,4,3", "--reps", 1, "--seed", 1,
+         "--out", out]
+    ) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert "--m-list" in captured.err and captured.out == ""
 
 
 def test_bench_rejects_huge_m_without_flag(workdir, capsys):

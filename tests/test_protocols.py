@@ -17,7 +17,6 @@ from epm.protocols import (
     DhdpPrivateB,
     DhdpPublic,
     SetupFailed,
-    centralizer_sample,
     commutation_system,
     dhdp_alice,
     dhdp_bob,
@@ -158,7 +157,7 @@ def test_identity_centralizer_is_everything():
 
 def test_one_shot_sampler(golden):
     rng = random.Random(3)
-    assert centralizer_sample(golden.M, rng).commutes(golden.M)
+    assert CentralizerSampler(golden.M).sample(rng).commutes(golden.M)
 
 
 # --- bob ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epm.ring import (
-    CentralElement,
     CentralPoly,
     EpmMatrix,
     LiftedMatrix,
@@ -24,7 +23,6 @@ from epm.ring import (
     power_stack,
     random_central_poly,
     random_matrix,
-    solve_combination,
     unlift,
 )
 from epm.zpmsolve import PrimePower, Residues, howell_solve, is_solution
@@ -138,12 +136,13 @@ def test_central_characterisation_matches_commuting_everything():
 
 
 def test_central_element_wrapper():
-    elt = CentralElement(P52, 32)
-    assert elt.z == 7
-    assert elt.matrix() == central_matrix(P52, 7)
-    assert CentralElement.from_matrix(elt.matrix()) == CentralElement(P52, 7)
-    with pytest.raises(NotAMember):
-        CentralElement.from_matrix(EpmMatrix.validate(P52, [[1, 0], [0, 7]]))
+    # central_matrix reduces z mod q, and is_central reads it back from the
+    # last diagonal entry.
+    z = central_matrix(P52, 32)
+    assert z == central_matrix(P52, 7)
+    assert z.rows == ((2, 0), (0, 7))
+    assert z.is_central() and z.rows[-1][-1] == 7
+    assert not EpmMatrix.validate(P52, [[1, 0], [0, 7]]).is_central()
 
 
 def test_psi_is_a_ring_homomorphism():
@@ -186,7 +185,8 @@ def test_central_poly_degree_cap():
 
 def test_masks_are_expressible_over_identity_and_m(golden):
     # A1 must be a combination of I and M since it was built that way
-    coeffs = solve_combination([EpmMatrix.identity(P52), golden.M], golden.A1)
+    system = combination_system([EpmMatrix.identity(P52), golden.M], golden.A1)
+    coeffs = howell_solve(system, with_kernel=False).particular
     assert CentralPoly(P52, coeffs).evaluate(golden.M) == golden.A1
 
 
@@ -220,6 +220,27 @@ def test_cayley_hamilton_random(p, m):
         a = random_matrix(params, rng)
         coeffs = cayley_hamilton_coeffs(a)
         assert CentralPoly(params, coeffs).evaluate(a) == a**m
+
+
+# The solver's particular solution for a random_matrix drawn with
+# random.Random(100 * p + m), recorded before the powers came from power_stack.
+PINNED_CAYLEY_HAMILTON = {
+    (2, 8): (32, 96, 60, 0, 3, 0, 2, 0),
+    (3, 6): (156, 153, 20, 0, 5, 0),
+    (5, 4): (116, 105, 20, 0),
+    (2, 20): (
+        382976, 27136, 90624, 48064, 20432, 11092, 5198, 1724, 179, 1960,
+        148, 120, 121, 4, 30, 12, 5, 0, 0, 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("p,m", PINNED_CAYLEY_HAMILTON)
+def test_cayley_hamilton_matches_pinned_coefficients(p, m):
+    a = random_matrix(PrimePower(p, m), random.Random(100 * p + m))
+    coeffs = cayley_hamilton_coeffs(a)
+    assert coeffs == PINNED_CAYLEY_HAMILTON[(p, m)]
+    assert CentralPoly(a.params, coeffs).evaluate(a) == a**m
 
 
 def test_polynomials_in_m_commute(golden):

@@ -375,7 +375,8 @@ def test_random_solution_stays_a_solution(golden):
 
 
 def test_solution_set_roundtrip_fields(golden):
-    sol = SolutionSet(golden.params, (1, 2), ((0, 5),))
+    x = np.array([[1, 0], [2, 5]], Residues.of(golden.params).dtype)
+    sol = SolutionSet(golden.params, x)
     assert sol.particular == (1, 2)
     assert sol.kernel == ((0, 5),)
 
