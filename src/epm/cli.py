@@ -29,7 +29,6 @@ from .protocols import (
     egdp_encrypt,
     egdp_decrypt,
     egdp_keygen,
-    retry_setup,
 )
 from .ring import EpmMatrix, NotAMember, ParamMismatch
 from .seeding import make_rng
@@ -89,10 +88,7 @@ def _write_file(path: str, tf) -> None:
 
 def _cmd_gen(args) -> int:
     params = PrimePower(args.p, args.m)
-    rng = make_rng(args.seed, "gen")
-    m_mat, x = retry_setup(
-        lambda: dhdp_setup(params, rng), "parameters admit no noncommuting pair"
-    )
+    m_mat, x = dhdp_setup(params, make_rng(args.seed, "gen"))
     _write_file(args.out, setup_file(m_mat, x))
     return 0
 
@@ -118,10 +114,7 @@ def _cmd_attack(args) -> int:
 
 def _cmd_egdp_keygen(args) -> int:
     params = PrimePower(args.p, args.m)
-    rng = make_rng(args.seed, "egdp-keygen")
-    kp = retry_setup(
-        lambda: egdp_keygen(params, rng), "parameters admit no noncommuting pair"
-    )
+    kp = egdp_keygen(params, make_rng(args.seed, "egdp-keygen"))
     _write_file(args.pub_out, egdp_public_file(kp.public))
     _write_file(args.priv_out, egdp_private_file(kp.private))
     return 0

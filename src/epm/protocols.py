@@ -31,7 +31,6 @@ from .zpmsolve import PrimePower, Residues, ZpmSystem, howell_solve
 __all__ = [
     "SetupFailed",
     "RESAMPLE_CAP",
-    "retry_setup",
     "DhdpPublic",
     "DhdpPrivateA",
     "DhdpPrivateB",
@@ -55,24 +54,16 @@ __all__ = [
     "run_egdp_session",
 ]
 
-#: Consecutive resampling attempts before a constraint is declared hopeless.
+#: Draws each protocol step makes before its constraint is declared hopeless.
+#: Every step that resamples has its own loop of this length, and no such loop
+#: runs inside another, so a failing step costs at most RESAMPLE_CAP draws.
 RESAMPLE_CAP = 100
 
 
 class SetupFailed(RuntimeError):
-    """A protocol constraint could not be met after RESAMPLE_CAP resamples
-    (degenerate parameters such as m = 1, where the ring is commutative)."""
-
-
-def retry_setup(attempt, message: str):
-    """attempt() again with fresh draws while it raises SetupFailed, up to
-    RESAMPLE_CAP whole attempts; then raise SetupFailed(message)."""
-    for _ in range(RESAMPLE_CAP):
-        try:
-            return attempt()
-        except SetupFailed:
-            continue
-    raise SetupFailed(message)
+    """A protocol step drew RESAMPLE_CAP candidates and none met its
+    constraint (degenerate parameters such as m = 1, where the ring is
+    commutative).  The message names the step."""
 
 
 @dataclass(frozen=True)
@@ -200,10 +191,13 @@ class CentralizerSampler:
 
 
 def dhdp_setup(params: PrimePower, rng) -> tuple[EpmMatrix, EpmMatrix]:
-    """Public parameters: random M, then X resampled until the pair does not
-    commute."""
-    m_mat = random_matrix(params, rng)
+    """Public parameters: a fresh (M, X) drawn until the pair does not commute.
+
+    Both matrices are redrawn on each attempt, so a central M (probability
+    p^-3 at m = 2) costs one attempt rather than the whole step.
+    """
     for _ in range(RESAMPLE_CAP):
+        m_mat = random_matrix(params, rng)
         x = random_matrix(params, rng)
         if not m_mat.commutes(x):
             return m_mat, x
@@ -239,19 +233,13 @@ def dhdp_shared_bob(priv: DhdpPrivateB, ga: EpmMatrix) -> EpmMatrix:
 def run_dhdp_session(params: PrimePower, rng) -> DhdpSession:
     """A complete honest key exchange; both derivations are cross-checked.
 
-    Individual steps keep their strict resampling contracts (a central M,
-    drawn with probability p^-3 at m = 2, makes dhdp_setup fail), so the
-    session helper retries with fresh draws.  Genuinely degenerate
-    parameters such as m = 1 still fail after RESAMPLE_CAP whole attempts.
+    Each step resamples on its own (dhdp_setup, dhdp_bob) and the session
+    adds no retry, so degenerate parameters such as m = 1 raise the failing
+    step's SetupFailed after at most RESAMPLE_CAP draws.
     """
-
-    def attempt():
-        m_mat, x = dhdp_setup(params, rng)
-        return m_mat, x, *dhdp_alice(m_mat, x, rng), *dhdp_bob(m_mat, x, rng)
-
-    m_mat, x, priv_a, ga, priv_b, gb = retry_setup(
-        attempt, "no viable session after repeated attempts"
-    )
+    m_mat, x = dhdp_setup(params, rng)
+    priv_a, ga = dhdp_alice(m_mat, x, rng)
+    priv_b, gb = dhdp_bob(m_mat, x, rng)
     shared = dhdp_shared_alice(priv_a, m_mat, gb)
     if shared != dhdp_shared_bob(priv_b, ga):
         raise RuntimeError("the two shared-secret derivations disagree")
@@ -286,10 +274,10 @@ def egdp_decrypt(priv: EgdpPrivateKey, ct: EgdpCiphertext) -> EpmMatrix:
 def run_egdp_session(
     params: PrimePower, rng, secret: EpmMatrix | None = None
 ) -> tuple[EgdpKeyPair, EpmMatrix, EgdpCiphertext]:
-    """Key pair, plaintext (random unless given) and ciphertext for tests,
-    with the same whole-attempt retry policy as run_dhdp_session."""
-    kp = retry_setup(
-        lambda: egdp_keygen(params, rng), "no viable key pair after repeated attempts"
-    )
+    """Key pair, plaintext (random unless given) and ciphertext for tests.
+
+    Only egdp_keygen's dhdp_setup resamples; its SetupFailed propagates.
+    """
+    kp = egdp_keygen(params, rng)
     s = secret if secret is not None else random_matrix(params, rng)
     return kp, s, egdp_encrypt(kp.public, s, rng)

@@ -206,7 +206,10 @@ def setup_file(m_mat: EpmMatrix, x: EpmMatrix) -> TranscriptFile:
 
 
 def read_setup(tf: TranscriptFile) -> tuple[EpmMatrix, EpmMatrix]:
-    return tf.matrix("M"), tf.matrix("X")
+    m_mat, x = tf.matrix("M"), tf.matrix("X")
+    if m_mat.commutes(x):
+        raise ParseError("public pair must not commute")
+    return m_mat, x
 
 
 def dhdp_transcript_file(pub: DhdpPublic) -> TranscriptFile:

@@ -196,6 +196,27 @@ def test_exit_2_on_malformed_input(workdir):
     assert run(["gen", "--p", 6, "--m", 2, "--seed", 1, "--out", workdir / "x.epm"]) == 2
     # degenerate parameters: the commutative m=1 ring has no valid setup
     assert run(["gen", "--p", 2, "--m", 1, "--seed", 1, "--out", workdir / "x.epm"]) == 2
+    assert run(["egdp-keygen", "--p", 3, "--m", 1, "--seed", 1,
+                "--pub-out", workdir / "pub.epm", "--priv-out", workdir / "priv.epm"]) == 2
+    assert sorted(f.name for f in workdir.iterdir()) == ["bad.epm"]
+
+
+def test_simulate_refuses_a_commuting_pair_before_any_work(workdir, monkeypatch, capsys):
+    import epm.cli as cli_mod
+
+    def must_not_run(*args):
+        raise AssertionError("simulate ran a protocol step on a commuting pair")
+
+    monkeypatch.setattr(cli_mod, "dhdp_alice", must_not_run)
+    monkeypatch.setattr(cli_mod, "dhdp_bob", must_not_run)
+    m_mat = random_matrix(PrimePower(2, 20), random.Random(20))
+    setup = workdir / "setup.epm"
+    setup.write_text(write_transcript(setup_file(m_mat, m_mat * m_mat)), newline="")
+    out, secret = workdir / "t.epm", workdir / "s.epm"
+    assert run(["simulate", "--params", setup, "--seed", 1, "--out", out,
+                "--secret-out", secret]) == 2
+    assert capsys.readouterr().err == "error: public pair must not commute\n"
+    assert not out.exists() and not secret.exists()
 
 
 def test_exit_2_on_bad_flags(capsys):

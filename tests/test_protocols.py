@@ -16,6 +16,7 @@ from epm.protocols import (
     DhdpPrivateA,
     DhdpPrivateB,
     DhdpPublic,
+    RESAMPLE_CAP,
     SetupFailed,
     commutation_system,
     dhdp_alice,
@@ -45,11 +46,17 @@ def test_dhdp_setup_postcondition():
         params = PrimePower(p, m)
         rng = random.Random(100 * p + m)
         for _ in range(5):
-            try:
-                m_mat, x = dhdp_setup(params, rng)
-            except SetupFailed:
-                continue  # possible at tiny parameters when M lands central
+            m_mat, x = dhdp_setup(params, rng)
             assert not m_mat.commutes(x)
+
+
+def test_dhdp_setup_survives_a_central_m():
+    # At (2, 2) M is central with probability 1/8; dhdp_setup redraws M with X,
+    # so a central first draw costs one attempt, not the step.
+    params = PrimePower(2, 2)
+    for seed in range(300):
+        m_mat, x = dhdp_setup(params, random.Random(seed))
+        assert not m_mat.commutes(x)
 
 
 def test_dhdp_setup_is_seed_reproducible():
@@ -61,6 +68,16 @@ def test_golden_pair_is_a_valid_setup(golden):
     assert not golden.M.commutes(golden.X)
 
 
+class CountingRandom(random.Random):
+    """Counts randrange calls; at m = 1 each one is a whole matrix draw."""
+
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
 def test_m_equal_one_always_fails():
     with pytest.raises(SetupFailed):
         dhdp_setup(PrimePower(2, 1), random.Random(0))
@@ -68,6 +85,13 @@ def test_m_equal_one_always_fails():
         run_dhdp_session(PrimePower(5, 1), random.Random(0))
     with pytest.raises(SetupFailed):
         egdp_keygen(PrimePower(3, 1), random.Random(0))
+    # One resampling loop per step: the failing step's own cap bounds the cost
+    # and its own message reaches the caller.
+    for run_session, p in ((run_dhdp_session, 5), (run_egdp_session, 3)):
+        rng = CountingRandom(0)
+        with pytest.raises(SetupFailed, match="^could not find a noncommuting public pair$"):
+            run_session(PrimePower(p, 1), rng)
+        assert 0 < rng.draws <= 2 * RESAMPLE_CAP
 
 
 # --- alice --------------------------------------------------------------------
