@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import random
 
 import numpy as np
@@ -19,6 +21,9 @@ from epm.zpmsolve import (
     is_solution,
     valuation,
 )
+
+from epm.attack import build_attack_system
+from epm.protocols import commutation_system, run_dhdp_session
 
 from conftest import spanned_solutions
 
@@ -484,3 +489,48 @@ def test_inconsistent_back_substitution_names_its_pivot_column(monkeypatch):
         howell_solve(system)
     assert str(info.value) == "no preimage for pivot column 1"
     assert info.value.column == 1
+
+
+# --- workload-scale pins -------------------------------------------------------
+
+
+@functools.cache
+def _session_systems(p, m):
+    """The commutation and attack systems of the seed-1 session at (p, m)."""
+    pub = run_dhdp_session(PrimePower(p, m), random.Random(1)).public
+    return commutation_system(pub.M), build_attack_system(pub.M, pub.X, pub.GA)
+
+
+# SHA-256 of repr(x.tolist()) and the OpCounter total, for the commutation
+# solve and then the attack solve (with_kernel=False), recorded before the
+# solver was panel-blocked.
+SOLVE_PINS = {
+    (2, 20): (
+        ("a95802bd4833c2f138ef863ba60dd8e62f10ebf2fd3131943d04b7a050dc0be5", 60282846),
+        ("1473245d6ec4a82a1576e03172012fd3706dcbc1fcef60d625e858399ab9eb46", 20764828),
+    ),
+    (5, 14): (
+        ("974191a263d4de9b2ab188318b1a2258fb765c5d662fad2bb9fedcbd9f380ad2", 6776828),
+        ("9826f49e142b06f0a20a0b0cda4ea7874b45bf497e7d782958ed5d2f23761b0a", 3131438),
+    ),
+    (3, 16): (
+        ("2fe246175f0117ebf896502ad893ad57adaec451f9d29460ec5499f5b068f83b", 15425703),
+        ("cd9853651a89701a62d1ae116d80733852e21da5e96ce436c85212631b8fbbfd", 6832043),
+    ),
+    (3, 6): (
+        ("0591a5306802922a7f6dba4a28ced515c01268481220718a053708b20ac8db73", 42812),
+        ("0e23851ea0b7c6c44c5f26cc9d92b44e5172b87e88e57e1dc002e463005b9332", 18017),
+    ),
+}
+
+
+@pytest.mark.parametrize("p,m", SOLVE_PINS)
+def test_session_solves_match_pinned_digests(p, m):
+    kernel_system, attack_system = _session_systems(p, m)
+    got = []
+    for system, with_kernel in ((kernel_system, True), (attack_system, False)):
+        counter = OpCounter()
+        sol = howell_solve(system, with_kernel=with_kernel, counter=counter)
+        got.append((hashlib.sha256(repr(sol.x.tolist()).encode()).hexdigest(),
+                    counter.muls))
+    assert tuple(got) == SOLVE_PINS[p, m]
