@@ -333,13 +333,19 @@ def lift_array(res: Residues, a: np.ndarray) -> np.ndarray:
     a = a.reshape(m, m, -1)
     scale = np.array([p ** (m - 1 - r) for r in range(m)], res.dtype)
     out = res.reduce(res.mul(a, scale[:, None, None]))
-    floor = np.maximum(scale[:, None], scale[None, :])
-    bad = np.argwhere(out % floor[:, :, None] != 0)
-    if len(bad):
-        r, s, _ = bad[0]
-        raise NotInImage(
-            f"lifted entry ({r},{s}) has valuation below {m - 1 - min(r, s)}"
-        )
+    floor = np.maximum(scale[:, None], scale[None, :])[:, :, None]
+    # One matrix row r at a time, so no temporary is as large as `out`; on
+    # uint64 the floors are powers of 2 and a mask replaces the division.
+    for r in range(m):
+        if res.dtype is np.uint64:
+            rest = out[r] & (floor[r] - 1)
+        else:
+            rest = out[r] % floor[r]
+        if rest.any():
+            s = np.argwhere(rest)[0][0]
+            raise NotInImage(
+                f"lifted entry ({r},{s}) has valuation below {m - 1 - min(r, s)}"
+            )
     return out.reshape(shape)
 
 

@@ -13,11 +13,27 @@ make bottom-up back-substitution and kernel extraction correct over a ring
 with torsion.  The particular solution and every kernel generator are then
 back-substituted together as the columns of one block.
 
-One elimination routine runs on whole numpy arrays.  :class:`Residues` is
-the array layer under it, and under the attack's array products as well:
-one rule picks its dtype from (p, m), uint64 with wraparound for p = 2 and
-m <= 64, int64 for moduli below 2^50, and ``object`` (arbitrary-precision
-Python integers) otherwise.  The pivot sequence, the results and the
+One elimination routine runs on whole numpy arrays, blocked in panels of
+``PANEL`` columns.  Inside a panel it pivots and eliminates as above, but
+only on the panel's columns, and records each pivot's multipliers.  A pivot
+row first catches up on the panel's earlier pivots in its trailing columns,
+so the completion test sees the row as the unblocked elimination would.
+After the panel, one product ``trailing -= multipliers @ pivot rows``
+brings every other row's trailing columns up to date.  The last panel also
+holds the rhs, so a system of at most ``PANEL`` columns needs no product.
+Candidate order is an index array and a pivot frees its row's slot for the
+next completion row, so no row moves.  Back-substitution runs in blocks of
+``PANEL`` pivots: the rows of the block that later blocks solved enter as
+one product, and the block's own rows are solved in turn, because a torsion
+pivot divides by p^v.  The pivot sequence, the results and the operation
+count are those of the unblocked elimination.
+
+:class:`Residues` is the array layer under the solver, and under the
+attack's array products as well: one rule picks its dtype from (p, m),
+uint64 with wraparound for p = 2 and m <= 64, int64 for moduli below 2^50,
+and ``object`` (arbitrary-precision Python integers) otherwise.  Its
+:meth:`~Residues.submatmul` runs the blocked products on float64 BLAS
+GEMMs, exact by construction.  The pivot sequence, the results and the
 operation count are the same in every dtype.
 """
 
@@ -210,7 +226,9 @@ class SolutionSet:
     unique; only the spanned set is meaningful.
 
     ``x`` is the read-only back-substitution block: column 0 is the
-    particular solution, the others the kernel.
+    particular solution, the others the kernel.  :func:`howell_solve` returns
+    it as uint32 for p = 2 up to m = 32, and in the dtype
+    :meth:`Residues.of` picks otherwise.
     """
 
     def __init__(self, params: PrimePower, x: np.ndarray):
@@ -237,9 +255,16 @@ class SolutionSet:
         return tuple(res.matmul(self.x, np.array(w, res.dtype))[:, 0].tolist())
 
 
-#: Rows per in-place elimination update.  Bounds the temporaries, which on the
-#: object path hold one Python int per entry.
-_CHUNK_ROWS = 32
+#: Columns per elimination panel, and pivots per back-substitution block.
+PANEL = 64
+
+#: Rows per GEMM of :meth:`Residues.submatmul`, and entries per float64
+#: operand chunk: they bound its temporaries to a few hundred kilobytes.
+#: At m <= 20 a 32-row GEMM stays below about 10^6 multiply-adds, which
+#: OpenBLAS runs on one thread; 64 rows took two threads there, for the
+#: same wall time and twice the CPU time.
+_GEMM_ROWS = 32
+_GEMM_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -260,6 +285,30 @@ class Residues:
       of them at a time to a total below q, so the sum stays below 2^63.
     * ``object`` arrays of Python integers otherwise, or with
       ``backend="python"``.
+
+    :meth:`submatmul`, dst -= a @ b, runs on float64 GEMMs for uint64 and
+    int64.  Entries are integers in [0, q).  When k (q-1)^2 < 2^53 for the
+    contraction length k, every product and every partial sum is an
+    integer below 2^53, so the GEMM is exact in any summation order.
+    Otherwise each operand splits into ``count`` limbs of ``bits`` bits,
+    a = sum_i a_i 2^(bits i) with 0 <= a_i < 2^bits, and :meth:`limbs`
+    takes the fewest limbs of the widest width with
+    count * k * (2^bits - 1)^2 < 2^53.  The pairs (i, j) with
+    i + j = s number at most ``count``, so their GEMMs summed in float64
+    stay exact integers below 2^53.  Recombining sum_s S_s 2^(bits s):
+    uint64 shifts with wraparound, exact mod 2^64 and so mod 2^m, and
+    drops the shifts of m bits or more; a uint32 ``dst``, as the solver's
+    for m <= 32, keeps the low 32 bits, still exact mod 2^m.  int64 runs
+    Horner steps by 2^bits mod q through :meth:`mul`.  ``object``
+    multiplies Python ints.
+    The crossover, measured on the 2-CPU host of ``BENCH_blocked_solve.json``
+    for an (r x 64) @ (64 x 337) product against ``dst -= matmul(a, b)``:
+    at q = 2^20 (one GEMM) and q = 5^14 (two limbs) the two tie at one row
+    (34 us against 32 us, 175 us against 168 us), the GEMMs win from two
+    rows, and by 12x and 26x at 64 rows.  At q = 2^32 (two limbs, three
+    GEMMs) they lose up to about eight rows, 128 us against 32 us at one
+    row.  So the solver uses it for blocks of rows, and single-row
+    products stay on :meth:`matmul`.
     """
 
     params: PrimePower
@@ -328,6 +377,77 @@ class Residues:
             self.reduce(out)
         return out
 
+    def limbs(self, k: int) -> tuple[int, int]:
+        """(count, bits) of the limbs :meth:`submatmul` splits each operand
+        into for a contraction of length k: (1, 0), no split, when one
+        float64 GEMM is exact or the dtype is ``object``, else the fewest
+        limbs of the widest width that the exactness bound admits."""
+        q = self.params.modulus
+        if self.dtype is object or k * (q - 1) ** 2 < 2**53:
+            return 1, 0
+        bits = 26
+        for count in itertools.count(2):
+            while count * k * (2**bits - 1) ** 2 >= 2**53:
+                bits -= 1
+            if count * bits >= (q - 1).bit_length():
+                return count, bits
+
+    def submatmul(self, dst: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+        """dst -= a @ b mod q, in place, for reduced ``a`` (r x k), ``b``
+        (k x w) and ``dst`` (r x w), on float64 GEMMs (on Python ints for
+        ``object``).
+
+        The work runs in chunks of at most ``_GEMM_ROWS`` rows and of a
+        contraction over which ``b`` converts to at most ``_GEMM_ENTRIES``
+        float64 entries, but never fewer than ``PANEL`` terms, so that the
+        multipliers of one elimination panel make a single pass.
+        """
+        k, w = a.shape[1], b.shape[1]
+        step = max(PANEL, _GEMM_ENTRIES // max(w, 1))
+        for s in range(0, k, step):
+            count, bits = self.limbs(min(step, k - s))
+            right = _split(b[s : s + step], count, bits)
+            for i in range(0, len(dst), _GEMM_ROWS):
+                left = _split(a[i : i + _GEMM_ROWS, s : s + step], count, bits)
+                block = dst[i : i + _GEMM_ROWS]
+                block -= self._combine(left, right, bits)
+                self.reduce(block)
+
+    def _combine(self, left, right, bits: int) -> np.ndarray:
+        """sum over limb pairs of left[i] @ right[j] * 2^(bits (i + j)):
+        mod 2^64 on uint64, and on int64 a value in [0, 2^63) congruent to
+        it mod q."""
+        count = len(left)
+        if count == 1:
+            return (left[0] @ right[0]).astype(self.dtype, copy=False)
+        shifts = 2 * count - 1
+        if self.dtype is np.uint64:
+            # Shifts of m bits or more vanish mod 2^m.
+            shifts = min(shifts, -(-self.params.m // bits))
+        radix = pow(2, bits, self.params.modulus)
+        total = None
+        for s in reversed(range(shifts)):
+            pairs = range(max(0, s - count + 1), min(s, count - 1) + 1)
+            part = sum(left[i] @ right[s - i] for i in pairs).astype(self.dtype)
+            if total is None:
+                total = part
+            elif self.dtype is np.uint64:
+                total = (total << np.uint64(bits)) + part
+            else:
+                total = self.mul(self.reduce(total), radix)
+                total += part
+        return total
+
+
+def _split(a: np.ndarray, count: int, bits: int) -> list[np.ndarray]:
+    """The ``count`` limbs of ``bits`` bits of a nonnegative integer array,
+    low limb first, as float64; when count is 1, a itself, as float64 unless
+    it holds Python ints."""
+    if count == 1:
+        return [a if a.dtype == object else a.astype(np.float64)]
+    mask = (1 << bits) - 1
+    return [((a >> (bits * t)) & mask).astype(np.float64) for t in range(count)]
+
 
 def _find_pivot(column, p: int):
     """(valuation, index) of the earliest entry of minimal p-adic valuation,
@@ -352,47 +472,72 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
     p, m, q = system.params.p, system.params.m, system.params.modulus
     c, n = system.cols, system.rows
     reduce = res.reduce
-    # Rows are augmented: c coefficients, then the rhs.  The n candidate rows
-    # stay compacted at the top of `cand`, in candidate order; a pivot removes
-    # one and adds at most one completion row.
-    cand = system.aug.astype(res.dtype)
-    prows = np.zeros((c, c + 1), res.dtype)
+    # Rows are augmented: c coefficients, then the rhs.  `cand` holds them
+    # transposed, candidate row r in cand[:, r], so that each update runs
+    # along whole rows of the array.  The candidates are the rows order[:n],
+    # in candidate order; order[n:] are free slots, zero from the current
+    # column on.  A pivot frees its slot, and a completion row takes the
+    # slot at order[n].
+    # For p = 2 up to m = 32 the working arrays, and with them the solution
+    # block, are uint32: 2^m divides 2^32, so wraparound stays exact, and
+    # they take half the memory.
+    work = np.uint32 if res.dtype is np.uint64 and m <= 32 else res.dtype
+    cand = system.aug.T.astype(work, order="C")
+    order = np.arange(n)
+    prows = np.zeros((c, c + 1), work)
     pivots = []  # (column, valuation) of prows[0], prows[1], ...
-    for col in range(c):
-        found = _find_pivot(cand[:n, col], p)
-        if found is None:
-            continue
-        v, i = found
-        prow = prows[len(pivots)]
-        prow[:] = cand[i]
-        cand[i : n - 1] = cand[i + 1 : n]
-        n -= 1
-        # Clear the freed slot: a completion row written there needs zeros
-        # before col, and a stale copy would keep Python ints alive.
-        cand[n] = 0
-        pv = p**v
-        unit = int(prow[col]) // pv
-        if unit != 1:
-            prow[col:] = res.mul(prow[col:], pow(unit, -1, q))
-            reduce(prow[col:])
-        # Zero entries get a zero multiplier rather than a skip, so the count
-        # is the elimination's full cubic operation count.
-        counter.add((c + 1 - col) * (1 + n))
-        for s in range(0, n, _CHUNK_ROWS):
-            block = cand[s : min(s + _CHUNK_ROWS, n), col:]
-            block -= res.mul(block[:, :1] // pv, prow[col:])
+    # mults[t, r]: the multiplier of the panel's pivot t on row r, for the
+    # GEMM that brings the trailing columns up to date after the panel.
+    mults = np.zeros((PANEL, n), work) if c > PANEL else None
+    for c0 in range(0, c, PANEL):
+        # The last panel carries the rhs and leaves no trailing columns.
+        c1 = c0 + PANEL if c0 + PANEL < c else c + 1
+        trailing, first = c1 <= c, len(pivots)
+        for col in range(c0, min(c1, c)):
+            found = _find_pivot(cand[col, order[:n]], p)
+            if found is None:
+                continue
+            v, i = found
+            r, t = order[i], len(pivots) - first
+            prow = prows[len(pivots)]
+            prow[col:] = cand[col:, r]
+            cand[col:, r] = 0
+            order[i : n - 1] = order[i + 1 : n]
+            order[n - 1] = r
+            n -= 1
+            if trailing and mults[:t, r].any():
+                # The trailing part still lacks this panel's earlier pivots.
+                done = prows[first : first + t, c1:]
+                prow[c1:] -= res.matmul(mults[None, :t, r], done)[0]
+                reduce(prow[c1:])
+                mults[:t, r] = 0
+            pv = p**v
+            unit = int(prow[col]) // pv
+            if unit != 1:
+                prow[col:] = res.mul(prow[col:], pow(unit, -1, q))
+                reduce(prow[col:])
+            # Zero entries get a zero multiplier rather than a skip, so the count
+            # is the elimination's full cubic operation count.
+            counter.add((c + 1 - col) * (1 + n))
+            mult = cand[col] // pv
+            block = cand[col + 1 : c1]
+            block -= res.mul(prow[col + 1 : c1, None], mult)
             reduce(block)
-        pivots.append((col, v))
-        if v > 0:
-            counter.add(c + 1 - col)
-            cand[n, col:] = res.mul(prow[col:], p ** (m - v))
-            reduce(cand[n, col:])
-            if cand[n, col + 1 :].any():
-                n += 1
+            if trailing:
+                mults[t] = mult
+            pivots.append((col, v))
+            if v > 0:
+                counter.add(c + 1 - col)
+                cand[col:, r] = reduce(res.mul(prow[col:], p ** (m - v)))
+                if cand[col + 1 :, r].any():
+                    n += 1
+        if trailing and len(pivots) > first:
+            t = len(pivots) - first
+            res.submatmul(cand[c1:], prows[first : first + t, c1:].T, mults[:t])
 
     # Leftover candidates have zero coefficients: every column was either
     # pivoted (entry eliminated exactly) or skipped (entries already zero).
-    if cand[:n, c].any():
+    if cand[c, order[:n]].any():
         raise InconsistentSystem("contradictory zero row")
     return prows, pivots
 
@@ -429,25 +574,32 @@ def howell_solve(
         pivot_cols = {col for col, _ in pivots}
         seeds = [(f, 1) for f in range(c) if f not in pivot_cols]
         seeds += [(col, p ** (m - v)) for col, v in pivots if v > 0]
-    x = np.zeros((c, 1 + len(seeds)), res.dtype)
+    x = np.zeros((c, 1 + len(seeds)), prows.dtype)  # the working dtype
     for j, (col, value) in enumerate(seeds, start=1):
         x[col, j] = value
     # Torsion pivot column -> its generator (seed p^(m-v) > 1), whose seed stays.
     kept = {col: j for j, (col, value) in enumerate(seeds, start=1) if value != 1}
-    for k in reversed(range(len(pivots))):
-        col, v = pivots[k]
-        counter.add(c - col - 1)
-        d = -res.matmul(prows[k : k + 1, col + 1 : c], x[col + 1 :])[0]
-        d[:1] += prows[k, c:]
-        res.reduce(d)
-        if col in kept:
-            d[kept[col]] = 0
-        if v > 0:
-            if (d % p**v).any():
-                # Completion rows guarantee this never fires on kernel columns.
-                raise InconsistentSystem(f"no preimage for pivot column {col}", col)
-            d //= p**v
-        x[col] += d
+    # Blocks of PANEL pivots, last block first.  The rows of x solved by later
+    # blocks enter as one product; inside a block the rows are solved in turn.
+    for k0 in reversed(range(0, len(pivots), PANEL)):
+        k1 = min(k0 + PANEL, len(pivots))
+        hi = pivots[k1][0] if k1 < len(pivots) else c
+        rest = np.zeros((k1 - k0, x.shape[1]), x.dtype)
+        rest[:, 0] = prows[k0:k1, c]
+        res.submatmul(rest, prows[k0:k1, hi:c], x[hi:c])
+        for k in reversed(range(k0, k1)):
+            col, v = pivots[k]
+            counter.add(c - col - 1)
+            done = res.matmul(prows[k : k + 1, col + 1 : hi], x[col + 1 : hi])[0]
+            d = res.reduce(rest[k - k0] - done)
+            if col in kept:
+                d[kept[col]] = 0
+            if v > 0:
+                if (d % p**v).any():
+                    # Completion rows guarantee this never fires on kernel columns.
+                    raise InconsistentSystem(f"no preimage for pivot column {col}", col)
+                d //= p**v
+            x[col] += d
     # The generators' share, charged as separate passes would be: a torsion
     # generator skips its own pivot row.
     width = sum(c - col - 1 for col, _ in pivots)

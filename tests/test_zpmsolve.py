@@ -1,6 +1,9 @@
+import bisect
 import functools
 import hashlib
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +351,144 @@ def test_wide_mul_and_matmul_match_python_ints_in_bulk(p, m):
     assert long.tolist() == [[20000 * (q - 1) % q]]
     empty = res.matmul(np.zeros((2, 0), np.int64), np.zeros((0, 3), np.int64))
     assert empty.tolist() == [[0] * 3] * 2
+
+
+# --- the panel-blocked solve and its float64 GEMM -----------------------------
+
+# Moduli for systems wider than one panel: uint32 working arrays (p = 2 up to
+# m = 32), uint64, both int64 tiers, one and several limbs per GEMM operand,
+# and the float-quotient mulmod up to 2^50.
+PANEL_MODULI = [(2, 20), (2, 32), (2, 64), (3, 19), (3, 20), (5, 14), (3, 31),
+                (5, 21), (33554393, 2)]
+
+
+def _wide_system(seed, p, m, rows, cols):
+    """Entries r * p^v with v skewed towards 0, cols // 8 columns that are
+    p-power multiples of earlier ones, one zero column, and a consistent rhs
+    half the time."""
+    rng = random.Random(seed)
+    q = p**m
+
+    def entry():
+        v = min(rng.randrange(m + 1), rng.randrange(m + 1))
+        return rng.randrange(q) * p**v % q
+
+    columns = [[entry() for _ in range(rows)] for _ in range(cols)]
+    for j in rng.sample(range(1, cols), cols // 8):
+        src, k = rng.randrange(j), rng.randrange(m)
+        columns[j] = [a * p**k % q for a in columns[src]]
+    columns[rng.randrange(cols)] = [0] * rows
+    coeffs = [list(row) for row in zip(*columns)]
+    if rng.random() < 0.5:
+        x = [rng.randrange(q) for _ in range(cols)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in coeffs]
+    else:
+        rhs = [entry() for _ in range(rows)]
+    return ZpmSystem(PrimePower(p, m), coeffs, rhs)
+
+
+def _full_outcome(system, backend):
+    counter = OpCounter()
+    try:
+        sol = howell_solve(system, backend=backend, counter=counter)
+    except InconsistentSystem as exc:
+        return (str(exc), exc.column), counter.muls
+    return sol.x.tolist(), counter.muls
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    modulus=st.sampled_from(PANEL_MODULI),
+    cols=st.integers(33, 100),
+    extra=st.integers(-16, 4),
+    seed=st.integers(0, 2**32),
+)
+@example(modulus=(2, 64), cols=100, extra=0, seed=1)
+@example(modulus=(3, 31), cols=100, extra=-30, seed=2)
+@example(modulus=(5, 21), cols=65, extra=4, seed=3)
+@example(modulus=(33554393, 2), cols=97, extra=-2, seed=4)
+@example(modulus=(2, 32), cols=80, extra=-10, seed=5)
+@example(modulus=(3, 20), cols=129, extra=1, seed=6)
+def test_wide_systems_agree_across_backends(modulus, cols, extra, seed):
+    # Systems over more than one panel: the default dtype, whose trailing
+    # updates run on float64 GEMMs, against Python ints, for the block x,
+    # the InconsistentSystem message and column, and the OpCounter total.
+    system = _wide_system(seed, *modulus, cols + extra, cols)
+    default = _full_outcome(system, None)
+    assert default == _full_outcome(system, "python")
+    x = default[0]
+    if isinstance(x, list):
+        q = system.params.modulus
+        coeffs = np.array(system.coeffs, object)
+        residual = coeffs @ np.array(x, object)
+        residual[:, 0] -= np.array(system.rhs, object)
+        assert not (residual % q).any()
+
+
+def _limb_switches(res, k_max):
+    """Each contraction length k <= k_max after which Residues.limbs(k)
+    takes one more limb."""
+    counts = [res.limbs(k)[0] for k in (1, k_max)]
+    return [
+        bisect.bisect_right(range(1, k_max + 1), count, key=lambda k: res.limbs(k)[0])
+        for count in range(counts[0], counts[1])
+    ]
+
+
+@pytest.mark.parametrize(
+    "p,m", sorted(set(BOUNDARY_MODULI + WIDE_MODULI + [(2, 20), (3, 16)]))
+)
+def test_submatmul_matches_python_ints(p, m):
+    # dst -= a @ b mod q against Python ints at k = 0, 1, 64, the longest
+    # contraction one GEMM takes, and on both sides of the single-GEMM bound
+    # and of every switch in the limb count.  In each k x 1 case row 0 of a
+    # and the column of b repeat one value whose low bits are all set, q - 1
+    # or 2^(bits - 1) - 1, so that entry 0 reaches the exactness bound: a
+    # limb one bit wider, or one GEMM past the bound, rounds a float64 sum.
+    # (2, 20) and (3, 16) switch from one GEMM to limbs at k = 8193 and 5.
+    # The last shape spans several row and contraction chunks.
+    params = PrimePower(p, m)
+    q = params.modulus
+    res = Residues.of(params)
+    rng = random.Random(q)
+    full = [q - 1, 2 ** ((q - 1).bit_length() - 1) - 1]
+    k_max = 2**14  # one contraction chunk when b has one column
+    ks = {0, 1, 64, k_max}
+    if res.dtype is not object:
+        one_gemm = (2**53 - 1) // (q - 1) ** 2  # from the bound, not res.limbs
+        switches = [one_gemm, *_limb_switches(res, k_max)]
+        ks.update(k + d for k in switches for d in (0, 1) if k + d <= k_max)
+    cases = []
+    for k, value in itertools.product(sorted(ks), full):
+        top = [value] * k, [rng.choice(full + [rng.randrange(q)]) for _ in range(k)]
+        cases.append((top, [[value]] * k))
+    rows, k, cols = 66, 130, 260
+    pick = lambda: rng.choice(full) if rng.random() < 0.8 else rng.randrange(q)
+    cases.append(([[pick() for _ in range(k)] for _ in range(rows)],
+                  [[pick() for _ in range(cols)] for _ in range(k)]))
+    for a, b in cases:
+        rows, k, cols = len(a), len(b), len(b[0]) if b else 1
+        dst = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+        want = (np.array(dst, object) - np.array(a, object).reshape(rows, k)
+                @ np.array(b, object).reshape(k, cols)) % q
+        got = np.array(dst, res.dtype)
+        res.submatmul(got, np.array(a, res.dtype).reshape(rows, k),
+                      np.array(b, res.dtype).reshape(k, cols))
+        assert got.tolist() == want.tolist(), (rows, k, cols, res.limbs(k))
+
+
+@pytest.mark.parametrize("p,m", [(2, 20), (3, 16), (5, 14)])
+def test_session_solves_stay_inside_the_memory_budget(p, m):
+    # Each solve holds the candidates, the pivot rows and x, each at most as
+    # large as the system array; every other temporary must fit in 1 MiB.
+    for system, with_kernel in zip(_session_systems(p, m), (True, False)):
+        tracemalloc.start()
+        try:
+            howell_solve(system, with_kernel=with_kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * system.aug.nbytes + 2**20
 
 
 def test_backends_count_identically():
