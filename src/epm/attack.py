@@ -9,7 +9,7 @@ commute past every power of M.  Total cost is one dense solve:
 O((m^2)^3) multiplications mod p^m.
 
 Around the solve, the attack takes structure-blind products entirely mod
-p^m on whole arrays of :class:`~epm.zpmsolve.Residues`, never m^2 separate
+p^m on whole arrays of :class:`~epm.residues.Residues`, never m^2 separate
 ring products.  The array helpers and the array lift live in
 :mod:`epm.ring`, next to the row-scaling lift they reproduce: a
 structure-blind product and the ring product have the same lift, and they
@@ -37,9 +37,10 @@ from typing import Sequence
 import numpy as np
 
 from .protocols import EgdpCiphertext, EgdpPublicKey, run_dhdp_session
+from .residues import Residues
 from .ring import EpmMatrix, ParamMismatch
 from .ring import as_array, basis_array, from_array, lift_array, power_stack
-from .zpmsolve import OpCounter, PrimePower, Residues, ZpmSystem, howell_solve
+from .zpmsolve import OpCounter, PrimePower, ZpmSystem, howell_solve
 
 __all__ = [
     "build_attack_system",

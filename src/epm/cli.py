@@ -30,6 +30,7 @@ from .protocols import (
     egdp_decrypt,
     egdp_keygen,
 )
+from .residues import Residues
 from .ring import EpmMatrix, NotAMember, ParamMismatch
 from .seeding import make_rng
 from .serialize import (
@@ -49,7 +50,7 @@ from .serialize import (
     setup_file,
     write_transcript,
 )
-from .zpmsolve import InconsistentSystem, PrimePower, Residues, howell_solve
+from .zpmsolve import InconsistentSystem, PrimePower, howell_solve
 
 __all__ = ["cli_main", "main"]
 

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .residues import Residues
 from .ring import CentralPoly, EpmMatrix, random_central_poly, random_matrix
 from .ring import as_array, lift_array, matrix_from_parameters
-from .zpmsolve import PrimePower, Residues, ZpmSystem, howell_solve
+from .zpmsolve import PrimePower, ZpmSystem, howell_solve
 
 __all__ = [
     "SetupFailed",

@@ -16,7 +16,7 @@ matrices?" into an ordinary linear system mod p^m - see
 :func:`combination_system`.  A structure-blind product mod p^m, reduced
 row-wise by :func:`from_array`, is the ring product and has the same lift,
 so ring arithmetic runs on whole arrays of residues
-(:class:`~epm.zpmsolve.Residues`) and :func:`lift_array` builds the systems
+(:class:`~epm.residues.Residues`) and :func:`lift_array` builds the systems
 of :mod:`epm.attack` and :mod:`epm.protocols`.  :func:`combination_system`,
 on ring elements and :func:`lift`, is the definition those array systems
 reproduce bit for bit.  The membership parametrisation, entry (i, j) =
@@ -30,10 +30,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .residues import Residues
 from .zpmsolve import (
     InconsistentSystem,
     PrimePower,
-    Residues,
     ZpmSystem,
     howell_solve,
     valuation,

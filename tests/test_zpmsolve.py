@@ -25,6 +25,7 @@ from epm.zpmsolve import (
     valuation,
 )
 
+import epm.zpmsolve as zpmsolve
 from epm.attack import build_attack_system
 from epm.protocols import commutation_system, run_dhdp_session
 
@@ -364,8 +365,9 @@ PANEL_MODULI = [(2, 20), (2, 32), (2, 64), (3, 19), (3, 20), (5, 14), (3, 31),
 
 def _wide_system(seed, p, m, rows, cols):
     """Entries r * p^v with v skewed towards 0, cols // 8 columns that are
-    p-power multiples of earlier ones, one zero column, and a consistent rhs
-    half the time."""
+    p-power multiples of earlier ones, one zero column, and half the time an
+    rhs that is consistent by construction; returns the system and whether
+    its rhs is."""
     rng = random.Random(seed)
     q = p**m
 
@@ -379,12 +381,13 @@ def _wide_system(seed, p, m, rows, cols):
         columns[j] = [a * p**k % q for a in columns[src]]
     columns[rng.randrange(cols)] = [0] * rows
     coeffs = [list(row) for row in zip(*columns)]
-    if rng.random() < 0.5:
+    consistent = rng.random() < 0.5
+    if consistent:
         x = [rng.randrange(q) for _ in range(cols)]
         rhs = [sum(a * b for a, b in zip(row, x)) for row in coeffs]
     else:
         rhs = [entry() for _ in range(rows)]
-    return ZpmSystem(PrimePower(p, m), coeffs, rhs)
+    return ZpmSystem(PrimePower(p, m), coeffs, rhs), consistent
 
 
 def _full_outcome(system, backend):
@@ -413,16 +416,28 @@ def test_wide_systems_agree_across_backends(modulus, cols, extra, seed):
     # Systems over more than one panel: the default dtype, whose trailing
     # updates run on float64 GEMMs, against Python ints, for the block x,
     # the InconsistentSystem message and column, and the OpCounter total.
-    system = _wide_system(seed, *modulus, cols + extra, cols)
+    system, consistent = _wide_system(seed, *modulus, cols + extra, cols)
     default = _full_outcome(system, None)
     assert default == _full_outcome(system, "python")
     x = default[0]
+    assert isinstance(x, list) or not consistent, default[0]
     if isinstance(x, list):
         q = system.params.modulus
         coeffs = np.array(system.coeffs, object)
         residual = coeffs @ np.array(x, object)
         residual[:, 0] -= np.array(system.rhs, object)
         assert not (residual % q).any()
+
+
+@pytest.mark.parametrize("panel", [1, 2])
+def test_brute_force_oracle_holds_over_narrow_panels(panel, monkeypatch):
+    # Panels of one or two columns put the oracle's systems of up to three
+    # columns over several panels, so the pivot-row catch-up, the trailing
+    # product and the blocked back-substitution are all checked against
+    # brute_solve.
+    monkeypatch.setattr(zpmsolve, "PANEL", panel)
+    test_solver_matches_brute_force_oracle()
+    test_solver_oracle_property()
 
 
 def _limb_switches(res, k_max):
@@ -436,7 +451,7 @@ def _limb_switches(res, k_max):
 
 
 @pytest.mark.parametrize(
-    "p,m", sorted(set(BOUNDARY_MODULI + WIDE_MODULI + [(2, 20), (3, 16)]))
+    "p,m", sorted(set(BOUNDARY_MODULI + WIDE_MODULI + [(2, 20), (2, 32), (3, 16)]))
 )
 def test_submatmul_matches_python_ints(p, m):
     # dst -= a @ b mod q against Python ints at k = 0, 1, 64, the longest
@@ -445,11 +460,17 @@ def test_submatmul_matches_python_ints(p, m):
     # and the column of b repeat one value whose low bits are all set, q - 1
     # or 2^(bits - 1) - 1, so that entry 0 reaches the exactness bound: a
     # limb one bit wider, or one GEMM past the bound, rounds a float64 sum.
-    # (2, 20) and (3, 16) switch from one GEMM to limbs at k = 8193 and 5.
-    # The last shape spans several row and contraction chunks.
+    # (2, 20) and (3, 16) switch from one GEMM to limbs at k = 8193 and 5;
+    # (2, 32) is the widest modulus of the uint32 tier.
+    # The last shape spans several row and contraction chunks.  Both the
+    # residues of Residues.of and the solver's narrow ones are checked.
     params = PrimePower(p, m)
-    q = params.modulus
-    res = Residues.of(params)
+    for res in {Residues.of(params), Residues.of(params).narrow}:
+        _check_submatmul(res)
+
+
+def _check_submatmul(res):
+    q = res.params.modulus
     rng = random.Random(q)
     full = [q - 1, 2 ** ((q - 1).bit_length() - 1) - 1]
     k_max = 2**14  # one contraction chunk when b has one column
