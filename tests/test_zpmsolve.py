@@ -683,6 +683,16 @@ SOLVE_PINS = {
         ("0591a5306802922a7f6dba4a28ced515c01268481220718a053708b20ac8db73", 42812),
         ("0e23851ea0b7c6c44c5f26cc9d92b44e5172b87e88e57e1dc002e463005b9332", 18017),
     ),
+    # The wide int64 tier near its ends, q just above 2^31 and just below
+    # 2^50, recorded before its arithmetic dropped integer division.
+    (3, 20): (
+        ("733a7f54578ca1058c3b2f3170e1f0f68532f472f1fba6d524941086d35c80d0", 59205761),
+        ("68b612004a4dcb438cf28665ee0200426e947a6d080e21ca8618f08b22becdd6", 25719915),
+    ),
+    (5, 21): (
+        ("53d9c554957956ab5d72401802895554741dbd8c4d668f5fff967ebdd56f6825", 77294645),
+        ("bff19f4718487290d651df059c563fe672f93e82fc5f81d7b00133cad63dba50", 35812946),
+    ),
 }
 
 
