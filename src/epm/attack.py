@@ -147,7 +147,7 @@ def zhang_system(m_mat: EpmMatrix, x: EpmMatrix, ga: EpmMatrix) -> ZpmSystem:
     # column (i, j, k) is basis column (i, j) times digit weight p^k, k <= r.
     basis = basis_array(res, power_stack(res, m_mat), x).reshape(m, m, m * m, 1)
     digits = np.tril(np.tile(np.array([p**k for k in range(m)], res.dtype), (m, 1)))
-    coeffs = res.reduce(res.mul(basis, digits[:, None, None, :]).reshape(m * m, -1))
+    coeffs = res.mul(basis, digits[:, None, None, :]).reshape(m * m, -1)
     return ZpmSystem(params, coeffs, as_array(res, ga).reshape(-1))
 
 

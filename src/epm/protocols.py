@@ -160,8 +160,8 @@ def commutation_system(m_mat: EpmMatrix) -> ZpmSystem:
     # Entry ((r, s), (i, j)) is the coefficient of t_ij in (A*M - M*A)[r, s]:
     # forced[r, j] * M[j, s] when i = r, minus M[r, i] * forced[i, s] when j = s.
     # Each (r, s, .) term block is lifted on its own; the lift is additive.
-    left = lift_array(res, res.reduce(res.mul(forced[:, None, :], mm.T)))
-    right = lift_array(res, res.reduce(res.mul(mm[:, None, :], forced.T[None])))
+    left = lift_array(res, res.mul(forced[:, None, :], mm.T))
+    right = lift_array(res, res.mul(mm[:, None, :], forced.T[None]))
     diag = np.arange(m)
     op = np.zeros((m, m, m, m), res.dtype)
     op[diag, :, diag, :] = left  # (r, s, j)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
@@ -34,6 +35,11 @@ _GEMM_ENTRIES = 1 << 14
 #: The fewest contraction terms per chunk: the solver's 64-column panels
 #: (``epm.zpmsolve.PANEL``) then make a single pass.
 _GEMM_TERMS = 64
+#: Entries per temporary of the ``wide`` :meth:`Residues.matmul`.
+_MATMUL_ENTRIES = 1 << 16
+#: The most left-operand limbs for which the ``wide`` :meth:`Residues.matmul`
+#: takes int64 products of limbs rather than one mulmod per product.
+_LEFT_LIMBS = 3
 
 
 @dataclass(frozen=True)
@@ -49,11 +55,17 @@ class Residues:
       above -2^62.  :meth:`matmul` sums chunks of floor((2^63-1) / (q-1)^2)
       >= 2 products with ``@``, which cannot overflow, and reduces after
       each chunk, so the running total stays below 2q.
-    * int64 for 2^31 < q < 2^50, where a product can pass 2^63: :meth:`mul`
-      reduces each, and :meth:`matmul` adds at most floor((2^63-1)/q) - 1
-      of them at a time to a total below q, so the sum stays below 2^63.
+    * int64 for 2^31 < q < 2^50, the ``wide`` tier, where one product can
+      pass 2^63.  :meth:`mul` reduces each through a rounded float64
+      quotient, without a division, and :meth:`matmul` runs int64 ``@`` on
+      limbs of its left operand; both are proved where they are defined.
     * ``object`` arrays of Python integers otherwise, or with
       ``backend="python"``.
+
+    :meth:`mul` returns reduced residues on every tier, and :meth:`sub` and
+    :meth:`submul` update reduced residues in place.  On int64 a difference
+    of residues lies in (-q, q), so adding q where the sign bit is set
+    reduces it, again without a division.
 
     :attr:`narrow` gives the solver's working residues: uint32 masked with
     q - 1 for p = 2, m <= 32, where 2^m divides 2^32, so wraparound stays
@@ -117,38 +129,92 @@ class Residues:
         return self.dtype is np.int64 and self.params.modulus > 2**31
 
     def mul(self, a, b):
-        """a * b for reduced ``a`` and ``b``, broadcast, which callers reduce.
+        """a * b mod q, broadcast and reduced, for reduced ``a`` and ``b``.
 
-        On the ``wide`` tier it is the float-quotient mulmod (Shoup; NTL
-        ``MulMod``).  a, b < q < 2^50 are exact in float64, and the three
-        roundings of a * b * (1/q), each of relative error at most 2^-53,
-        put the quotient within ab/q * 4 * 2^-53 < 1/2 of ab/q.  So
-        r = ab - floor(quot) * q lies in [-q, 2q), exact when computed mod
-        2^64 in uint64, and one +q and one -q correction leave it in [0, q).
+        On the ``wide`` tier it is a float-quotient mulmod (Shoup; NTL
+        ``MulMod``) without a division.  a, b < q < 2^50 are exact in
+        float64, and a * (1/q) * b takes three roundings, each of relative
+        error at most 2^-53, so with ab/q < q < 2^50 its quotient lies
+        within 2^50 ((1 + 2^-53)^3 - 1) < 0.376 of ab/q.  Rounded to the
+        nearest integer Q it is within 1/2 + 0.376 < 1 of ab/q, so
+        r = ab - Q q lies in (-q, q), exact when computed mod 2^64 in
+        int64, and adding q where the sign bit is set leaves it in [0, q).
         """
-        q = self.params.modulus
         if not self.wide:
-            return a * b
+            return self.reduce(np.multiply(a, b, dtype=self.dtype))
+        q = self.params.modulus
         a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
-        u, uq = np.uint64, np.uint64(q)
-        quot = np.multiply(a, b, dtype=np.float64) * (1.0 / q)
-        r = np.multiply(a.view(u), b.view(u))
-        r -= quot.astype(u) * uq
-        # Minima of wrapped uint64 values: +q where r < 0, then -q where r >= q.
-        np.minimum(r, r + uq, out=r)
-        np.minimum(r, r - uq, out=r)
-        return r.view(np.int64)
+        if a.size > b.size:
+            a, b = b, a  # the smaller operand takes the 1/q
+        quot = np.rint((a * (1.0 / q)) * b)
+        r = a * b
+        fix = quot.astype(np.int64)
+        fix *= q
+        r -= fix
+        np.right_shift(r, 63, out=fix)
+        fix &= q
+        r += fix
+        return r
+
+    def sub(self, dst: np.ndarray, b) -> None:
+        """dst -= b mod q, in place, for reduced ``dst`` and ``b``.  On int64
+        the difference lies in (-q, q), and q is added where it is negative,
+        without a division."""
+        dst -= b
+        if self.dtype is np.int64:
+            fix = dst >> 63
+            fix &= self.params.modulus
+            dst += fix
+        else:
+            self.reduce(dst)
+
+    def submul(self, dst: np.ndarray, a, b) -> None:
+        """dst -= a * b mod q, in place, for reduced ``dst``, ``a`` and ``b``,
+        broadcast to the shape of ``dst``.  Off the ``wide`` tier the product
+        is subtracted unreduced and the difference reduced once: it wraps
+        exactly on uint64 and uint32, and stays above -2^62 on int64."""
+        if self.wide:
+            self.sub(dst, self.mul(a, b))
+        else:
+            dst -= np.multiply(a, b, dtype=self.dtype)
+            self.reduce(dst)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a @ b mod q for ``a`` of at least two dimensions and a matrix
-        ``b``; the contraction length k is the last axis of ``a``."""
+        ``b``; the contraction length k is the last axis of ``a``.
+
+        On the ``wide`` tier ``a`` splits into the limbs of
+        :meth:`left_limbs`, a = sum_t a_t 2^(bits t), when there are at most
+        ``_LEFT_LIMBS`` of them.  Each a_t @ b is one int64 ``@``, exact as
+        k (2^bits - 1)(q - 1) < 2^63, and is reduced.  Horner steps
+        out = (out 2^bits + part) mod q recombine them below
+        (q - 1)(2^bits + 1) < 2^63: for bits >= 2 that is at most twice the
+        bound at k >= 2, and q < 2^50 covers bits <= 1.  With more limbs
+        :meth:`mul` takes every product, and the sums run over at most
+        floor((2^63-1)/q) - 1 of them onto a total below q.  Either way
+        the rows run in chunks that keep temporaries near
+        ``_MATMUL_ENTRIES`` entries.
+
+        The crossover, measured on a 2-CPU host (Python 3.11, numpy 2.4,
+        median of 9 alternating runs) for the solver's single-row products
+        (1 x k) @ (k x w), k = 8 to 64, against the mulmod loop: two limbs
+        took 0.22 to 0.85 of its time, three 0.57 to 0.94 at w = 200 and 400
+        and 1.1 at w = 1, four 0.73 to 0.91 and 1.35, and five to eight
+        1.23 to 2.22, although a 32-row block with five still took 0.65.
+        """
         q = self.params.modulus
         k = a.shape[-1]
         if self.wide:
-            rows, cols = a.reshape(np.prod(a.shape[:-1], dtype=int), k), b.shape[-1]
+            rows, cols = a.reshape(math.prod(a.shape[:-1]), k), b.shape[-1]
             out = np.zeros((len(rows), cols), np.int64)
-            kb = max(1, min(k, (2**63 - 1) // q - 1, 2**16 // cols))
-            nb = max(1, 2**16 // (kb * cols))
+            count, bits = self.left_limbs(max(k, 1))
+            if 0 < count <= _LEFT_LIMBS:
+                nb = max(1, _MATMUL_ENTRIES // (count * max(k, cols)))
+                for i in range(0, len(rows), nb):
+                    out[i : i + nb] = self._limb_matmul(rows[i : i + nb], b, count, bits)
+                return out.reshape(a.shape[:-1] + (cols,))
+            kb = max(1, min(k, (2**63 - 1) // q - 1, _MATMUL_ENTRIES // cols))
+            nb = max(1, _MATMUL_ENTRIES // (kb * cols))
             for i, s in itertools.product(range(0, len(rows), nb), range(0, k, kb)):
                 acc, part = out[i : i + nb], rows[i : i + nb, s : s + kb, None]
                 acc += self.mul(part, b[s : s + kb]).sum(1)
@@ -158,6 +224,27 @@ class Residues:
         out = self.reduce(a[..., :step] @ b[..., :step, :])
         for s in range(step, k, step):
             out += self.reduce(a[..., s : s + step] @ b[..., s : s + step, :])
+            self.reduce(out)
+        return out
+
+    def left_limbs(self, k: int) -> tuple[int, int]:
+        """(count, bits) of the limbs the ``wide`` :meth:`matmul` splits its
+        left operand into for a contraction of length k >= 1: the widest
+        ``bits`` with max(k, 2) (2^bits - 1)(q - 1) < 2^63, and the fewest
+        limbs of that width; count is 0 when no width fits."""
+        q = self.params.modulus
+        bits = ((2**63 - 1) // (max(k, 2) * (q - 1)) + 1).bit_length() - 1
+        return (-(-(q - 1).bit_length() // bits) if bits else 0), bits
+
+    def _limb_matmul(self, rows, b, count: int, bits: int) -> np.ndarray:
+        """rows @ b mod q from int64 products of the limbs of ``rows``."""
+        shifts = np.arange(0, count * bits, bits)[:, None, None]
+        limbs = (rows >> shifts & (1 << bits) - 1).reshape(count * len(rows), -1)
+        parts = self.reduce(limbs @ b).reshape(count, len(rows), b.shape[1])
+        out = parts[-1]
+        for part in parts[-2::-1]:
+            out <<= bits
+            out += part
             self.reduce(out)
         return out
 

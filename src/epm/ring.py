@@ -332,7 +332,7 @@ def lift_array(res: Residues, a: np.ndarray) -> np.ndarray:
     shape = a.shape
     a = a.reshape(m, m, -1)
     scale = np.array([p ** (m - 1 - r) for r in range(m)], res.dtype)
-    out = res.reduce(res.mul(a, scale[:, None, None]))
+    out = res.mul(a, scale[:, None, None])
     floor = np.maximum(scale[:, None], scale[None, :])[:, :, None]
     # One matrix row r at a time, so no temporary is as large as `out`; on
     # uint64 the floors are powers of 2 and a mask replaces the division.

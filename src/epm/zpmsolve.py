@@ -265,9 +265,11 @@ def _find_pivot(column, p: int):
         v = (acc & -acc).bit_length() - 1
         hit = column & (1 << v) != 0
     else:
-        v, pk = 0, p
-        while not (hit := column % pk != 0).any():
-            v, pk = v + 1, pk * p
+        # The gcd's valuation is the column's least; one pass finds its entry.
+        g, v = int(np.gcd.reduce(column)), 0
+        while g % p ** (v + 1) == 0:
+            v += 1
+        hit = column % p ** (v + 1) != 0
     return v, int(hit.argmax())
 
 
@@ -277,7 +279,6 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
     the working residues, :attr:`Residues.narrow` of the system's."""
     p, m, q = system.params.p, system.params.m, system.params.modulus
     c, n = system.cols, system.rows
-    reduce = res.reduce
     # Rows are augmented: c coefficients, then the rhs.  `cand` holds them
     # transposed, candidate row r in cand[:, r], so that each update runs
     # along whole rows of the array.  The candidates are the rows order[:n],
@@ -310,27 +311,23 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
             if trailing and mults[:t, r].any():
                 # The trailing part still lacks this panel's earlier pivots.
                 done = prows[first : first + t, c1:]
-                prow[c1:] -= res.matmul(mults[None, :t, r], done)[0]
-                reduce(prow[c1:])
+                res.sub(prow[c1:], res.matmul(mults[None, :t, r], done)[0])
                 mults[:t, r] = 0
             pv = p**v
             unit = int(prow[col]) // pv
             if unit != 1:
                 prow[col:] = res.mul(prow[col:], pow(unit, -1, q))
-                reduce(prow[col:])
             # Zero entries get a zero multiplier rather than a skip, so the count
             # is the elimination's full cubic operation count.
             counter.add((c + 1 - col) * (1 + n))
             mult = cand[col] // pv
-            block = cand[col + 1 : c1]
-            block -= res.mul(prow[col + 1 : c1, None], mult)
-            reduce(block)
+            res.submul(cand[col + 1 : c1], prow[col + 1 : c1, None], mult)
             if trailing:
                 mults[t] = mult
             pivots.append((col, v))
             if v > 0:
                 counter.add(c + 1 - col)
-                cand[col:, r] = reduce(res.mul(prow[col:], p ** (m - v)))
+                cand[col:, r] = res.mul(prow[col:], p ** (m - v))
                 if cand[col + 1 :, r].any():
                     n += 1
         if trailing and len(pivots) > first:
@@ -393,7 +390,8 @@ def howell_solve(
             col, v = pivots[k]
             counter.add(c - col - 1)
             done = res.matmul(prows[k : k + 1, col + 1 : hi], x[col + 1 : hi])[0]
-            d = res.reduce(rest[k - k0] - done)
+            d = rest[k - k0]
+            res.sub(d, done)
             if col in kept:
                 d[kept[col]] = 0
             if v > 0:

@@ -354,6 +354,133 @@ def test_wide_mul_and_matmul_match_python_ints_in_bulk(p, m):
     assert empty.tolist() == [[0] * 3] * 2
 
 
+# --- division-free residue arithmetic ------------------------------------------
+
+# Every dtype tier, plus 3^26, whose left-operand limb count goes from 3 to
+# 4, across the limb/mulmod crossover, below k = 20000.
+ARITH_MODULI = sorted(set(BOUNDARY_MODULI + WIDE_MODULI + [(3, 26)]))
+
+
+def _special_residues(params):
+    """0, 1, q - 1, a value whose low bits are all set, and powers of p,
+    whose products p^i * p^(m-i) are q itself."""
+    p, m, q = params.p, params.m, params.modulus
+    return sorted({0, 1, q - 1, 2 ** ((q - 1).bit_length() - 1) - 1}
+                  | {p**i for i in range(m)})
+
+
+def _residue_tiers(params):
+    res = Residues.of(params)
+    return {res, res.narrow}
+
+
+@pytest.mark.parametrize("p,m", ARITH_MODULI)
+def test_mul_sub_and_submul_match_python_ints(p, m):
+    # mul returns reduced residues on every tier, and sub and submul update
+    # in place; the operands are the special residues against each other and
+    # random residues, broadcast as the solver's rank-1 update is.
+    params = PrimePower(p, m)
+    q, special = params.modulus, _special_residues(params)
+    rng = random.Random(q)
+    column = special + [rng.randrange(q) for _ in range(40)]
+    row = special[::-1] + [rng.choice([q - 1, rng.randrange(q)]) for _ in range(40)]
+    start = [[rng.randrange(q) for _ in row] for _ in column]
+    products = [[x * y % q for y in row] for x in column]
+    for res in _residue_tiers(params):
+        a, b = np.array(column, res.dtype)[:, None], np.array(row, res.dtype)
+        assert res.mul(a, b).tolist() == products
+        assert res.mul(b, q - 1).tolist() == [y * (q - 1) % q for y in row]
+        dst = np.array(start, res.dtype)
+        res.submul(dst, a, b)
+        assert dst.tolist() == [[(d - x) % q for d, x in zip(*pair)]
+                                for pair in zip(start, products)]
+        res.sub(dst, b)
+        assert dst.tolist() == [[(d - x - y) % q for d, x, y in zip(*pair, row)]
+                                for pair in zip(start, products)]
+
+
+def _left_limb_switches(res, k_max):
+    """Each k < k_max after which Residues.left_limbs(k) takes another count,
+    the limb/mulmod crossover among them."""
+    counts = [res.left_limbs(k)[0] for k in range(1, k_max + 1)]
+    return [k for k in range(1, k_max) if counts[k - 1] != counts[k]]
+
+
+@pytest.mark.parametrize("p,m", ARITH_MODULI)
+def test_matmul_matches_python_ints_across_limb_switches(p, m):
+    # a @ b mod q at k = 0, 1, 2, 64, 20000 and on both sides of every switch
+    # of the left-operand limb count, the limb/mulmod crossover included.  In
+    # each k x 1 case row 0 repeats a special residue and the column repeats
+    # q - 1: with the value whose low bits are all set, a limb one bit wider
+    # than left_limbs allows overflows the int64 sum.  k = 20000 is longer
+    # than one contraction chunk of the mulmod loop, and the 600-row block
+    # spans several row chunks.
+    params = PrimePower(p, m)
+    q, special = params.modulus, _special_residues(params)
+    special_ones = 2 ** ((q - 1).bit_length() - 1) - 1
+    rng = random.Random(q)
+    for res in _residue_tiers(params):
+        ks = {0, 1, 2, 64, 20000}
+        if res.wide:
+            ks.update(k + d for k in _left_limb_switches(res, 20000) for d in (0, 1))
+        cases = [([[value] * k, [rng.choice(special + [rng.randrange(q)])
+                                 for _ in range(k)]], [[q - 1]] * k)
+                 for k in sorted(ks) for value in (q - 1, special_ones)]
+        pick = lambda: rng.choice(special) if rng.random() < 0.5 else rng.randrange(q)
+        cases.append(([[pick() for _ in range(64)] for _ in range(600)],
+                      [[pick() for _ in range(3)] for _ in range(64)]))
+        for a, b in cases:
+            rows, k, cols = len(a), len(b), len(b[0]) if b else 1
+            left = np.array(a, object).reshape(rows, k)
+            right = np.array(b, object).reshape(k, cols)
+            want = (left @ right % q).tolist()
+            got = res.matmul(left.astype(res.dtype), right.astype(res.dtype))
+            assert got.tolist() == want, (k, res.dtype, res.wide and res.left_limbs(k))
+
+
+# Odd p on each residue tier: int64, wide int64 and object.
+ODD_MODULI = [(3, 1), (3, 2), (5, 3), (3, 19), (3, 20), (5, 14), (3, 31),
+              (5, 21), (33554393, 2), (3, 32), (5, 22), (2**61 - 1, 1)]
+
+
+@st.composite
+def pivot_columns(draw):
+    """A column of entries r * p^v with v at least a drawn floor (0, m - 1,
+    or m for an all-zero column), sometimes cut down to one nonzero entry."""
+    p, m = draw(st.sampled_from(ODD_MODULI))
+    q = p**m
+    floor = draw(st.sampled_from([0, 0, m - 1, m]))
+    entry = st.builds(lambda r, v: r * p**v % q,
+                      st.integers(1, q - 1), st.integers(floor, m))
+    column = draw(st.lists(entry, min_size=1, max_size=40))
+    if draw(st.booleans()):
+        keep = draw(st.integers(0, len(column) - 1))
+        column = [x if i == keep else 0 for i, x in enumerate(column)]
+    return PrimePower(p, m), column
+
+
+def _reference_pivot(column, params):
+    vals = [valuation(x, params) for x in column]
+    v = min(vals)
+    return None if v == params.m else (v, vals.index(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pivot_columns())
+@example(case=(PrimePower(3, 20), [0, 0, 0]))
+@example(case=(PrimePower(5, 21), [0, 0, 7 * 5**20, 0]))
+@example(case=(PrimePower(3, 31), [0, 3**30, 2 * 3**30, 3**30]))
+@example(case=(PrimePower(5, 14), [25, 50, 5, 10, 1, 2]))
+@example(case=(PrimePower(3, 32), [9, 3**31, 3, 6, 0]))
+def test_find_pivot_for_odd_p_matches_valuation(case):
+    # (valuation, index) of the earliest entry of least valuation, or None
+    # for a zero column, on the dtype Residues.of picks and on object.
+    params, column = case
+    want = _reference_pivot(column, params)
+    for dtype in {Residues.of(params).dtype, object}:
+        assert zpmsolve._find_pivot(np.array(column, dtype), params.p) == want
+
+
 # --- the panel-blocked solve and its float64 GEMM -----------------------------
 
 # Moduli for systems wider than one panel: uint32 working arrays (p = 2 up to
