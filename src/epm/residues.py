@@ -5,8 +5,9 @@ ring and the attack.
 p = 2 and m <= 64, int64 for moduli below 2^50, and ``object``
 (arbitrary-precision Python integers) otherwise.  The solver works in
 :attr:`~Residues.narrow`, uint32 for p = 2 and m <= 32, at half the memory.
-:meth:`~Residues.submatmul` runs the solver's blocked products on float64
-BLAS GEMMs, exact by construction.
+:meth:`~Residues.submatmul` runs the solver's blocked products, and
+:meth:`~Residues.matmul` large multi-row ones, on float64 BLAS GEMMs, exact
+by construction.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ if TYPE_CHECKING:
 
 __all__ = ["Residues"]
 
-#: Rows per GEMM of :meth:`Residues.submatmul`, and entries per float64
-#: operand chunk: they bound its temporaries to a few hundred kilobytes.
+#: Rows per GEMM of :meth:`Residues.submatmul` and of the float64
+#: :meth:`Residues.matmul`, and entries per float64 operand chunk: they
+#: bound their temporaries to a few hundred kilobytes.
 #: At m <= 20 a 32-row GEMM stays below about 10^6 multiply-adds, which
 #: OpenBLAS runs on one thread; 64 rows took two threads there, for the
 #: same wall time and twice the CPU time.
@@ -35,6 +37,10 @@ _GEMM_ENTRIES = 1 << 14
 #: The fewest contraction terms per chunk: the solver's 64-column panels
 #: (``epm.zpmsolve.PANEL``) then make a single pass.
 _GEMM_TERMS = 64
+#: The fewest output entries, and multiply-adds per output row, for which
+#: :meth:`Residues.matmul` runs on float64 GEMMs (measured in its docstring).
+_GEMM_OUTPUT = 4096
+_GEMM_ROW_WORK = 512
 #: Entries per temporary of the ``wide`` :meth:`Residues.matmul`.
 _MATMUL_ENTRIES = 1 << 16
 #: The most left-operand limbs for which the ``wide`` :meth:`Residues.matmul`
@@ -94,6 +100,10 @@ class Residues:
     GEMMs) they lose up to about eight rows, 128 us against 32 us at one
     row.  So the solver uses it for blocks of rows, and single-row
     products stay on :meth:`matmul`.
+
+    :meth:`matmul` runs large uint64 and int64 products with
+    k <= :attr:`k_max` through the same one-GEMM code, and uint32 ones
+    through ``np.einsum``.
     """
 
     params: PrimePower
@@ -122,6 +132,16 @@ class Residues:
                 self.params, np.uint32, lambda a: np.bitwise_and(a, mask, out=a)
             )
         return self
+
+    @cached_property
+    def k_max(self) -> int:
+        """The longest contraction :meth:`matmul` runs as one float64 GEMM,
+        (2^53 - 1) // (q - 1)^2, so that k (q - 1)^2 < 2^53, on uint64 and
+        int64; -1 on uint32, whose products run through einsum, and on
+        ``object``."""
+        if self.dtype not in (np.uint64, np.int64):
+            return -1
+        return (2**53 - 1) // (self.params.modulus - 1) ** 2
 
     @cached_property
     def wide(self) -> bool:
@@ -183,6 +203,29 @@ class Residues:
         """a @ b mod q for ``a`` of at least two dimensions and a matrix
         ``b``; the contraction length k is the last axis of ``a``.
 
+        On uint32 the product runs through ``np.einsum``, which vectorises
+        32-bit lanes where integer ``@`` is a scalar loop (7.4 us against
+        15.2 us for the solver's (1 x 63) @ (63 x 401)); wraparound mod
+        2^32 is exact in any summation order.
+
+        On uint64 and int64, when k <= :attr:`k_max`, the output has at
+        least ``_GEMM_OUTPUT`` entries and each output row at least
+        ``_GEMM_ROW_WORK`` multiply-adds (k w), the rows run through
+        :meth:`submatmul`'s one-GEMM code in ``_GEMM_ROWS``-row chunks: every
+        product and partial sum is an integer below 2^53, so each GEMM is
+        exact, and its float64 sums convert through uint64 or int64 before
+        the reduction.  The crossover, measured on a 2-CPU host (Python
+        3.11, numpy 2.4, best of 7) against the integer ``@`` below at
+        k = 2 to 32 and 4000 to 8000 output entries, follows k w.  From
+        k w = 512 the GEMMs won every shape: 1.07x to 1.8x at k = 2 to 4,
+        up to 7x at k = 32; at k w near 400 they took 0.92x to 1.5x, and
+        below 256 they lost, down to 0.2x.  A single row loses, 15 us
+        against 13 us for (1 x 20) @ (20 x 400).  On uint32 they beat
+        einsum only from k = 20 and k w >= 1280, by 1.2x to 2.8x, and lost
+        at k <= 6; the program's uint32 products are single rows.  The
+        attack basis product at (2, 20), (400 x 20) @ (20 x 400), fell from
+        2.4 ms to 0.43 ms.
+
         On the ``wide`` tier ``a`` splits into the limbs of
         :meth:`left_limbs`, a = sum_t a_t 2^(bits t), when there are at most
         ``_LEFT_LIMBS`` of them.  Each a_t @ b is one int64 ``@``, exact as
@@ -203,7 +246,14 @@ class Residues:
         1.23 to 2.22, although a 32-row block with five still took 0.65.
         """
         q = self.params.modulus
-        k = a.shape[-1]
+        k, w = a.shape[-1], b.shape[-1]
+        if a.size * w >= _GEMM_OUTPUT * k and k * w >= _GEMM_ROW_WORK and k <= self.k_max:
+            out = np.empty(a.shape[:-1] + (w,), self.dtype)
+            rows = math.prod(a.shape[:-1])
+            self._gemms(out.reshape(rows, w), a.reshape(rows, k), b, assign=True)
+            return out
+        if self.dtype is np.uint32:
+            return self.reduce(np.einsum("...k,kj->...j", a, b))
         if self.wide:
             rows, cols = a.reshape(math.prod(a.shape[:-1]), k), b.shape[-1]
             out = np.zeros((len(rows), cols), np.int64)
@@ -273,6 +323,14 @@ class Residues:
         float64 entries, but never fewer than ``_GEMM_TERMS`` terms, so that
         the multipliers of one elimination panel make a single pass.
         """
+        self._gemms(dst, a, b)
+
+    def _gemms(self, dst, a, b, assign: bool = False) -> None:
+        """dst -= a @ b mod q, in place, in the chunks of :meth:`submatmul`;
+        with ``assign``, dst = a @ b mod q, whatever dst held.  The first
+        chunk is written, not added onto ``np.zeros``: a fresh calloc'ed
+        page faults on the read and again on the write, and that doubled
+        the time of the attack basis product."""
         k, w = a.shape[1], b.shape[1]
         step = max(_GEMM_TERMS, _GEMM_ENTRIES // max(w, 1))
         for s in range(0, k, step):
@@ -281,7 +339,12 @@ class Residues:
             for i in range(0, len(dst), _GEMM_ROWS):
                 left = _split(a[i : i + _GEMM_ROWS, s : s + step], count, bits)
                 block = dst[i : i + _GEMM_ROWS]
-                block -= self._combine(left, right, bits)
+                if not assign:
+                    block -= self._combine(left, right, bits)
+                elif s:
+                    block += self._combine(left, right, bits)
+                else:
+                    block[...] = self._combine(left, right, bits)
                 self.reduce(block)
 
     def _combine(self, left, right, bits: int) -> np.ndarray:

@@ -25,8 +25,10 @@ Candidate order is an index array and a pivot frees its row's slot for the
 next completion row, so no row moves.  Back-substitution runs in blocks of
 ``PANEL`` pivots: the rows of the block that later blocks solved enter as
 one product, and the block's own rows are solved in turn, because a torsion
-pivot divides by p^v.  The pivot sequence, the results and the operation
-count are those of the unblocked elimination.
+pivot divides by p^v.  A one-column x, as without the kernel, is solved in
+Python ints, each solved entry subtracted at once from the block's earlier
+rows.  The pivot sequence, the results and the operation count are those of
+the unblocked elimination.
 
 The arithmetic runs on :class:`~epm.residues.Residues`, in the solver's
 working dtype :attr:`~epm.residues.Residues.narrow`.  The pivot sequence,
@@ -245,10 +247,13 @@ class SolutionSet:
         return same and np.array_equal(self.x, other.x)
 
     def random_solution(self, rng) -> tuple[int, ...]:
-        """particular plus a uniformly weighted kernel combination."""
-        q, res = self.params.modulus, Residues.of(self.params)
-        w = [[1]] + [[rng.randrange(q)] for _ in range(self.x.shape[1] - 1)]
-        return tuple(res.matmul(self.x, np.array(w, res.dtype))[:, 0].tolist())
+        """particular plus a uniformly weighted kernel combination, computed
+        in the dtype of x."""
+        q, x = self.params.modulus, self.x
+        res = Residues.of(self.params, "python" if x.dtype == object else None)
+        res = res.narrow if res.narrow.dtype == x.dtype else res
+        w = [[1]] + [[rng.randrange(q)] for _ in range(x.shape[1] - 1)]
+        return tuple(res.matmul(x, np.array(w, x.dtype))[:, 0].tolist())
 
 
 #: Columns per elimination panel, and pivots per back-substitution block.
@@ -257,20 +262,18 @@ PANEL = 64
 def _find_pivot(column, p: int):
     """(valuation, index) of the earliest entry of minimal p-adic valuation,
     or None when the column is zero."""
+    if p == 2:
+        # A bit test, as p^(v+1) overflows uint64 at m = 64; no bit: zero.
+        acc = int(np.bitwise_or.reduce(column))
+        low = acc & -acc
+        return (low.bit_length() - 1, int((column & low).argmax())) if acc else None
     if not column.any():
         return None
-    if p == 2:
-        # A bit test: p^(v+1) itself overflows uint64 at m = 64.
-        acc = int(np.bitwise_or.reduce(column))
-        v = (acc & -acc).bit_length() - 1
-        hit = column & (1 << v) != 0
-    else:
-        # The gcd's valuation is the column's least; one pass finds its entry.
-        g, v = int(np.gcd.reduce(column)), 0
-        while g % p ** (v + 1) == 0:
-            v += 1
-        hit = column % p ** (v + 1) != 0
-    return v, int(hit.argmax())
+    # The gcd's valuation is the column's least; one pass finds its entry.
+    g, v = int(np.gcd.reduce(column)), 0
+    while g % p ** (v + 1) == 0:
+        v += 1
+    return v, int((column % p ** (v + 1) != 0).argmax())
 
 
 def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
@@ -327,9 +330,10 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
             pivots.append((col, v))
             if v > 0:
                 counter.add(c + 1 - col)
-                cand[col:, r] = res.mul(prow[col:], p ** (m - v))
-                if cand[col + 1 :, r].any():
-                    n += 1
+                comp = res.mul(prow[col:], p ** (m - v))
+                cand[col:, r] = comp
+                n += bool(comp[1:].any())
+                del comp  # not held into the next pivot's temporaries
         if trailing and len(pivots) > first:
             t = len(pivots) - first
             res.submatmul(cand[c1:], prows[first : first + t, c1:].T, mults[:t])
@@ -386,6 +390,9 @@ def howell_solve(
         rest = np.zeros((k1 - k0, x.shape[1]), x.dtype)
         rest[:, 0] = prows[k0:k1, c]
         res.submatmul(rest, prows[k0:k1, hi:c], x[hi:c])
+        if x.shape[1] == 1:
+            _solve_column(prows, pivots, k0, k1, rest, x, counter, params)
+            continue
         for k in reversed(range(k0, k1)):
             col, v = pivots[k]
             counter.add(c - col - 1)
@@ -406,6 +413,27 @@ def howell_solve(
     counter.add(width * len(seeds) - sum(c - col - 1 for col in kept))
 
     return SolutionSet(params, x)
+
+
+def _solve_column(prows, pivots, k0, k1, rest, x, counter, params) -> None:
+    """Solve pivots k0..k1-1 of a one-column x in Python ints, right-looking
+    from the block-start residues ``rest``: x is zero off pivot rows."""
+    p, q, c = params.p, params.modulus, prows.shape[1] - 1
+    cols = [col for col, _ in pivots[k0:k1]]
+    r = rest[:, 0].tolist()
+    above = prows[k0:k1, cols].T.tolist()  # above[j][i]: row k0+i at cols[j]
+    for j in reversed(range(k1 - k0)):
+        col, v = pivots[k0 + j]
+        counter.add(c - col - 1)
+        d = r[j] % q
+        if v > 0:
+            if d % p**v:
+                raise InconsistentSystem(f"no preimage for pivot column {col}", col)
+            d //= p**v
+        r[j] = d
+        if d:
+            r[:j] = [ri - a * d for ri, a in zip(r, above[j][:j])]
+    x[cols, 0] = r
 
 
 def is_solution(system: ZpmSystem, x: Sequence[int]) -> bool:

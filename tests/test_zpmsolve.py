@@ -2,6 +2,7 @@ import bisect
 import functools
 import hashlib
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -154,8 +155,10 @@ def test_solver_matches_brute_force_oracle():
         except InconsistentSystem:
             inconsistent += 1
             assert not oracle
+            _check_one_column_solves(system, None)
             continue
         assert spanned_solutions(sol) == oracle
+        _check_one_column_solves(system, sol)
         for gen in sol.kernel:
             homogeneous = ZpmSystem(system.params, system.coeffs, (0,) * system.rows)
             assert is_solution(homogeneous, gen)
@@ -181,8 +184,24 @@ def test_solver_oracle_property(data):
         sol = howell_solve(system)
     except InconsistentSystem:
         assert not oracle
+        _check_one_column_solves(system, None)
         return
     assert spanned_solutions(sol) == oracle
+    _check_one_column_solves(system, sol)
+
+
+def _check_one_column_solves(system, sol):
+    """with_kernel=False, on the default dtype and on Python ints, returns
+    column 0 of the kernel solve ``sol``, a solution; with sol None it
+    raises as the kernel solve did."""
+    for backend in (None, "python"):
+        if sol is None:
+            with pytest.raises(InconsistentSystem):
+                howell_solve(system, with_kernel=False, backend=backend)
+            continue
+        particular = howell_solve(system, with_kernel=False, backend=backend).particular
+        assert particular == sol.particular
+        assert is_solution(system, particular)
 
 
 # Moduli on each side of a dtype switch: uint64 up to 2^64, int64 with plain
@@ -438,6 +457,54 @@ def test_matmul_matches_python_ints_across_limb_switches(p, m):
             assert got.tolist() == want, (k, res.dtype, res.wide and res.left_limbs(k))
 
 
+# Moduli whose multi-row products can take the float64 GEMMs of
+# Residues.matmul: k_max is 8192 at 2^20, 2 at 2^26, 0 at 2^32, 4 at 3^16 and
+# about 1.7e10 at 3^6.
+FLOAT_MODULI = [(2, 20), (2, 26), (2, 32), (3, 6), (3, 16)]
+
+
+@pytest.mark.parametrize("p,m", FLOAT_MODULI)
+def test_matmul_float_gemms_match_python_ints(p, m):
+    # a @ b mod q against Python ints on both sides of each condition of the
+    # float64 path: k = k_max and k_max + 1, 4096 output entries and 512
+    # multiply-adds per output row; also with a 3-D left operand, k = 0 and
+    # several 32-row chunks, with 0, 1 and q - 1 forced often.  In the k_max
+    # cases each row of a is one of three rows and each column of b one of
+    # three columns, so Python ints take nine dot products; row 0 and
+    # column 0 are q - 1 throughout, so entry (0, 0) reaches the exactness
+    # bound, and one GEMM of one term more rounds its float64 sum at 2^26
+    # and 2^32 (at 2^20 the contraction runs in chunks of 256 terms).
+    params = PrimePower(p, m)
+    q = params.modulus
+    k_max = (2**53 - 1) // (q - 1) ** 2  # from the bound, not res.k_max
+    rng = random.Random(q)
+    pick = lambda: rng.choice((0, 1, q - 1)) if rng.random() < 0.5 else rng.randrange(q)
+    for res in _residue_tiers(params):
+        k = min(max(k_max, 1), 20)
+        w = -(-512 // k)  # the narrowest b with 512 multiply-adds per row
+        rows = -(-4096 // w)  # the fewest rows with 4096 output entries
+        shapes = [((rows,), k, w), ((rows - 1,), k, w), ((rows + 40,), k, w - 1),
+                  ((3, 50), k, max(w, 64)), ((64,), 0, 64)]
+        for lead, k, w in shapes:
+            a = np.array([pick() for _ in range(math.prod(lead) * k)], object)
+            b = np.array([[pick() for _ in range(w)] for _ in range(k)], object)
+            a = a.reshape(lead + (k,))
+            got = res.matmul(a.astype(res.dtype), b.reshape(k, w).astype(res.dtype))
+            assert got.tolist() == (a @ b.reshape(k, w) % q).tolist(), (lead, k, w)
+        for k in (k_max, k_max + 1):
+            if k > 2**14:
+                continue
+            w = max(64, -(-512 // max(k, 1)))
+            left = np.array([[q - 1] * k] + [[pick() for _ in range(k)]
+                                             for _ in range(2)], object)
+            right = np.array([[q - 1] * k] + [[pick() for _ in range(k)]
+                                              for _ in range(2)], object).T.reshape(k, 3)
+            want = (left @ right % q)[np.arange(64)[:, None] % 3, np.arange(w) % 3]
+            a = left[np.arange(64) % 3].astype(res.dtype)
+            b = right[:, np.arange(w) % 3].astype(res.dtype)
+            assert res.matmul(a, b).tolist() == want.tolist(), (k, res.dtype)
+
+
 # Odd p on each residue tier: int64, wide int64 and object.
 ODD_MODULI = [(3, 1), (3, 2), (5, 3), (3, 19), (3, 20), (5, 14), (3, 31),
               (5, 21), (33554393, 2), (3, 32), (5, 22), (2**61 - 1, 1)]
@@ -561,7 +628,8 @@ def test_brute_force_oracle_holds_over_narrow_panels(panel, monkeypatch):
     # Panels of one or two columns put the oracle's systems of up to three
     # columns over several panels, so the pivot-row catch-up, the trailing
     # product and the blocked back-substitution are all checked against
-    # brute_solve.
+    # brute_solve; each system is also solved with with_kernel=False, whose
+    # one-column back-substitution then spans several blocks.
     monkeypatch.setattr(zpmsolve, "PANEL", panel)
     test_solver_matches_brute_force_oracle()
     test_solver_oracle_property()
@@ -668,6 +736,33 @@ def test_random_solution_stays_a_solution(golden):
         assert is_solution(system, sol.random_solution(rng))
 
 
+def test_random_solution_matches_python_ints_in_the_dtype_of_x():
+    # particular + sum of weight * generator mod q, with the weights drawn
+    # as random_solution draws them, on a uint32 x (the solver's at p = 2,
+    # m <= 32) and on Python ints; the uint32 sample makes no 64-bit copy
+    # of x, which a 400 x 401 block at m = 20 would take 1.3 MB for.
+    params = PrimePower(2, 20)
+    q = params.modulus
+    rng = random.Random(5)
+    rows = [[rng.choice((0, 1, q - 1, rng.randrange(q))) for _ in range(401)]
+            for _ in range(400)]
+    draws = random.Random(6)
+    weights = [1] + [draws.randrange(q) for _ in range(400)]
+    want = tuple(sum(v * w for v, w in zip(row, weights)) % q for row in rows)
+    for dtype in (np.uint32, object):
+        x = np.array(rows, dtype)
+        sol = SolutionSet(params, x)
+        tracemalloc.start()
+        try:
+            got = sol.random_solution(random.Random(6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        if dtype is np.uint32:
+            assert peak < x.nbytes // 4
+
+
 def test_solution_set_roundtrip_fields(golden):
     x = np.array([[1, 0], [2, 5]], Residues.of(golden.params).dtype)
     sol = SolutionSet(golden.params, x)
@@ -767,17 +862,19 @@ def test_inconsistent_zero_row_has_no_column():
 
 def test_inconsistent_back_substitution_names_its_pivot_column(monkeypatch):
     # Completion rows make this site unreachable for a real echelon form, so
-    # hand back-substitution a pivot 2 * x1 = 1 mod 4 with no preimage.
+    # hand back-substitution a pivot 2 * x1 = 1 mod 4 with no preimage.  With
+    # the kernel x has two columns; without it, one, solved in Python ints.
     import epm.zpmsolve as zpmsolve
 
     params = PrimePower(2, 2)
     prows = np.array([[0, 2, 1]], np.uint64)
     monkeypatch.setattr(zpmsolve, "_echelon", lambda *_: (prows, [(1, 1)]))
     system = ZpmSystem(params, ((0, 2),), (1,))
-    with pytest.raises(InconsistentSystem) as info:
-        howell_solve(system)
-    assert str(info.value) == "no preimage for pivot column 1"
-    assert info.value.column == 1
+    for with_kernel in (True, False):
+        with pytest.raises(InconsistentSystem) as info:
+            howell_solve(system, with_kernel=with_kernel)
+        assert str(info.value) == "no preimage for pivot column 1"
+        assert info.value.column == 1
 
 
 # --- workload-scale pins -------------------------------------------------------
