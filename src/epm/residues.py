@@ -1,10 +1,10 @@
 """Residues mod p^m in numpy arrays: the array layer under the solver, the
 ring and the attack.
 
-:class:`Residues` picks one dtype from (p, m): uint64 with wraparound for
-p = 2 and m <= 64, int64 for moduli below 2^50, and ``object``
-(arbitrary-precision Python integers) otherwise.  The solver works in
-:attr:`~Residues.narrow`, uint32 for p = 2 and m <= 32, at half the memory.
+:class:`Residues` picks one dtype from (p, m): uint32 with wraparound for
+p = 2 and m <= 32, uint64 for p = 2 and m <= 64, int64 for moduli below
+2^50, and ``object`` (arbitrary-precision Python integers) otherwise.  The
+ring, the systems and the solver all hold this one dtype.
 :meth:`~Residues.submatmul` runs the solver's blocked products, and
 :meth:`~Residues.matmul` large multi-row ones, on float64 BLAS GEMMs, exact
 by construction.
@@ -41,10 +41,10 @@ _GEMM_TERMS = 64
 #: :meth:`Residues.matmul` runs on float64 GEMMs (measured in its docstring).
 _GEMM_OUTPUT = 4096
 _GEMM_ROW_WORK = 512
-#: Entries per temporary of the ``wide`` :meth:`Residues.matmul`.
+#: Entries per temporary of the int64 :meth:`Residues.matmul` past one ``@``.
 _MATMUL_ENTRIES = 1 << 16
-#: The most left-operand limbs for which the ``wide`` :meth:`Residues.matmul`
-#: takes int64 products of limbs rather than one mulmod per product.
+#: The most left-operand limbs for which that :meth:`Residues.matmul` takes
+#: int64 products of limbs rather than one mulmod per product.
 _LEFT_LIMBS = 3
 
 
@@ -54,17 +54,15 @@ class Residues:
 
     :meth:`of` picks the dtype from the parameters alone:
 
-    * uint64 masked with q - 1 for p = 2, m <= 64.  2^m divides 2^64, so
-      sums and products taken with C wraparound are exact mod q.
+    * uint32 masked with q - 1 for p = 2, m <= 32, and uint64 for
+      33 <= m <= 64.  2^m divides 2^32 or 2^64, so sums and products taken
+      with C wraparound are exact mod q.
     * int64 with ``% q`` for q <= 2^31.  Entries stay in [0, q), so one
       product is below 2^62 and one product subtracted from an entry stays
-      above -2^62.  :meth:`matmul` sums chunks of floor((2^63-1) / (q-1)^2)
-      >= 2 products with ``@``, which cannot overflow, and reduces after
-      each chunk, so the running total stays below 2q.
+      above -2^62.
     * int64 for 2^31 < q < 2^50, the ``wide`` tier, where one product can
       pass 2^63.  :meth:`mul` reduces each through a rounded float64
-      quotient, without a division, and :meth:`matmul` runs int64 ``@`` on
-      limbs of its left operand; both are proved where they are defined.
+      quotient, without a division; it is proved where it is defined.
     * ``object`` arrays of Python integers otherwise, or with
       ``backend="python"``.
 
@@ -73,14 +71,11 @@ class Residues:
     of residues lies in (-q, q), so adding q where the sign bit is set
     reduces it, again without a division.
 
-    :attr:`narrow` gives the solver's working residues: uint32 masked with
-    q - 1 for p = 2, m <= 32, where 2^m divides 2^32, so wraparound stays
-    exact at half the memory; the same residues otherwise.
-
-    :meth:`submatmul`, dst -= a @ b, runs on float64 GEMMs for uint64 and
-    int64.  Entries are integers in [0, q).  When k (q-1)^2 < 2^53 for the
-    contraction length k, every product and every partial sum is an
-    integer below 2^53, so the GEMM is exact in any summation order.
+    :meth:`submatmul`, dst -= a @ b, runs on float64 GEMMs for every
+    machine-integer dtype.  Entries are integers in [0, q).  When
+    k (q-1)^2 < 2^53 for the contraction length k, every product and every
+    partial sum is an integer below 2^53, so the GEMM is exact in any
+    summation order.
     Otherwise each operand splits into ``count`` limbs of ``bits`` bits,
     a = sum_i a_i 2^(bits i) with 0 <= a_i < 2^bits, and :meth:`limbs`
     takes the fewest limbs of the widest width with
@@ -101,9 +96,8 @@ class Residues:
     row.  So the solver uses it for blocks of rows, and single-row
     products stay on :meth:`matmul`.
 
-    :meth:`matmul` runs large uint64 and int64 products with
-    k <= :attr:`k_max` through the same one-GEMM code, and uint32 ones
-    through ``np.einsum``.
+    :meth:`matmul` runs large products with k <= :attr:`k_max` through
+    the same one-GEMM code.
     """
 
     params: PrimePower
@@ -117,31 +111,29 @@ class Residues:
             raise ValueError(f"unknown backend {backend!r}")
         q = params.modulus
         if backend is None and params.p == 2 and params.m <= 64:
-            mask = np.uint64(q - 1)
-            return cls(params, np.uint64, lambda a: np.bitwise_and(a, mask, out=a))
+            dtype = np.uint32 if params.m <= 32 else np.uint64
+            mask = dtype(q - 1)
+            return cls(params, dtype, lambda a: np.bitwise_and(a, mask, out=a))
         dtype = np.int64 if backend is None and q < 2**50 else object
         return cls(params, dtype, lambda a: np.remainder(a, q, out=a))
 
     @cached_property
-    def narrow(self) -> "Residues":
-        """The solver's working residues: uint32 for p = 2, m <= 32, else
-        these."""
-        if self.dtype is np.uint64 and self.params.m <= 32:
-            mask = np.uint32(self.params.modulus - 1)
-            return Residues(
-                self.params, np.uint32, lambda a: np.bitwise_and(a, mask, out=a)
-            )
-        return self
-
-    @cached_property
     def k_max(self) -> int:
         """The longest contraction :meth:`matmul` runs as one float64 GEMM,
-        (2^53 - 1) // (q - 1)^2, so that k (q - 1)^2 < 2^53, on uint64 and
-        int64; -1 on uint32, whose products run through einsum, and on
-        ``object``."""
-        if self.dtype not in (np.uint64, np.int64):
+        (2^53 - 1) // (q - 1)^2, so that k (q - 1)^2 < 2^53, on every
+        machine-integer dtype (the uint32 ring products it admits are
+        measured in :meth:`matmul`); -1 on ``object``."""
+        if self.dtype is object:
             return -1
         return (2**53 - 1) // (self.params.modulus - 1) ** 2
+
+    def rem(self, a: np.ndarray, divisors: tuple[int, ...]) -> np.ndarray:
+        """Row i of ``a`` mod divisors[i], as a new array, for residues
+        ``a`` and divisors of q.  On uint32 and uint64 p = 2, so a mask
+        d - 1 replaces the division: 2^m itself need not fit the dtype."""
+        if self.dtype in (np.uint32, np.uint64):
+            return a & _column(self.dtype, tuple(d - 1 for d in divisors))
+        return a % _column(self.dtype, divisors)
 
     @cached_property
     def wide(self) -> bool:
@@ -203,30 +195,34 @@ class Residues:
         """a @ b mod q for ``a`` of at least two dimensions and a matrix
         ``b``; the contraction length k is the last axis of ``a``.
 
-        On uint32 the product runs through ``np.einsum``, which vectorises
-        32-bit lanes where integer ``@`` is a scalar loop (7.4 us against
-        15.2 us for the solver's (1 x 63) @ (63 x 401)); wraparound mod
-        2^32 is exact in any summation order.
+        When k <= :attr:`k_max`, the output has at least ``_GEMM_OUTPUT``
+        entries and each output row at least ``_GEMM_ROW_WORK``
+        multiply-adds (k w), the rows run through :meth:`submatmul`'s
+        one-GEMM code in ``_GEMM_ROWS``-row chunks: every product and
+        partial sum is an integer below 2^53, so each GEMM is exact, and its
+        float64 sums convert through uint64 or int64 before the reduction.
+        The crossover, measured on a 2-CPU host (Python 3.11, numpy 2.4,
+        best of 7) against the integer ``@`` below at k = 2 to 32 and 4000
+        to 8000 output entries, follows k w.  From k w = 512 the GEMMs won
+        every shape: 1.07x to 1.8x at k = 2 to 4, up to 7x at k = 32; at
+        k w near 400 they took 0.92x to 1.5x, and below 256 they lost, down
+        to 0.2x.  A single row loses, 15 us against 13 us for
+        (1 x 20) @ (20 x 400).  On uint32, against einsum, the attack basis
+        product (m^2 x m) @ (m x m^2) took 19.5 us against 10.8 us at
+        m = 8 and 61 us against 57 us at m = 12, then won: 159 us against
+        219 us at m = 16, 333 against 592 at m = 20, 701 against 1457 at
+        m = 24.  At (2, 32), where no GEMM is exact, einsum took that
+        product from 33.3 ms on uint64 ``@`` to 6.7 ms, and an m x m ring
+        product from 42 us to 13 us.
 
-        On uint64 and int64, when k <= :attr:`k_max`, the output has at
-        least ``_GEMM_OUTPUT`` entries and each output row at least
-        ``_GEMM_ROW_WORK`` multiply-adds (k w), the rows run through
-        :meth:`submatmul`'s one-GEMM code in ``_GEMM_ROWS``-row chunks: every
-        product and partial sum is an integer below 2^53, so each GEMM is
-        exact, and its float64 sums convert through uint64 or int64 before
-        the reduction.  The crossover, measured on a 2-CPU host (Python
-        3.11, numpy 2.4, best of 7) against the integer ``@`` below at
-        k = 2 to 32 and 4000 to 8000 output entries, follows k w.  From
-        k w = 512 the GEMMs won every shape: 1.07x to 1.8x at k = 2 to 4,
-        up to 7x at k = 32; at k w near 400 they took 0.92x to 1.5x, and
-        below 256 they lost, down to 0.2x.  A single row loses, 15 us
-        against 13 us for (1 x 20) @ (20 x 400).  On uint32 they beat
-        einsum only from k = 20 and k w >= 1280, by 1.2x to 2.8x, and lost
-        at k <= 6; the program's uint32 products are single rows.  The
-        attack basis product at (2, 20), (400 x 20) @ (20 x 400), fell from
-        2.4 ms to 0.43 ms.
+        Otherwise uint32 runs through ``np.einsum``, which vectorises 32-bit
+        lanes where integer ``@`` is a scalar loop (7.4 us against 15.2 us
+        for the solver's (1 x 63) @ (63 x 401)); wraparound mod 2^32 is
+        exact in any summation order.  uint64, ``object`` and int64 with
+        k (q - 1)^2 < 2^63 take one ``@``, which cannot overflow int64, and
+        one reduction.
 
-        On the ``wide`` tier ``a`` splits into the limbs of
+        Past that bound int64 ``a`` splits into the limbs of
         :meth:`left_limbs`, a = sum_t a_t 2^(bits t), when there are at most
         ``_LEFT_LIMBS`` of them.  Each a_t @ b is one int64 ``@``, exact as
         k (2^bits - 1)(q - 1) < 2^63, and is reduced.  Horner steps
@@ -234,9 +230,9 @@ class Residues:
         (q - 1)(2^bits + 1) < 2^63: for bits >= 2 that is at most twice the
         bound at k >= 2, and q < 2^50 covers bits <= 1.  With more limbs
         :meth:`mul` takes every product, and the sums run over at most
-        floor((2^63-1)/q) - 1 of them onto a total below q.  Either way
-        the rows run in chunks that keep temporaries near
-        ``_MATMUL_ENTRIES`` entries.
+        floor((2^63-1)/q) - 1 of them onto a total below q.  These proofs
+        hold for every q < 2^50, on both int64 tiers.  Either way the rows
+        run in chunks that keep temporaries near ``_MATMUL_ENTRIES`` entries.
 
         The crossover, measured on a 2-CPU host (Python 3.11, numpy 2.4,
         median of 9 alternating runs) for the solver's single-row products
@@ -254,31 +250,26 @@ class Residues:
             return out
         if self.dtype is np.uint32:
             return self.reduce(np.einsum("...k,kj->...j", a, b))
-        if self.wide:
-            rows, cols = a.reshape(math.prod(a.shape[:-1]), k), b.shape[-1]
-            out = np.zeros((len(rows), cols), np.int64)
-            count, bits = self.left_limbs(max(k, 1))
-            if 0 < count <= _LEFT_LIMBS:
-                nb = max(1, _MATMUL_ENTRIES // (count * max(k, cols)))
-                for i in range(0, len(rows), nb):
-                    out[i : i + nb] = self._limb_matmul(rows[i : i + nb], b, count, bits)
-                return out.reshape(a.shape[:-1] + (cols,))
-            kb = max(1, min(k, (2**63 - 1) // q - 1, _MATMUL_ENTRIES // cols))
-            nb = max(1, _MATMUL_ENTRIES // (kb * cols))
-            for i, s in itertools.product(range(0, len(rows), nb), range(0, k, kb)):
-                acc, part = out[i : i + nb], rows[i : i + nb, s : s + kb, None]
-                acc += self.mul(part, b[s : s + kb]).sum(1)
-                self.reduce(acc)
+        if self.dtype is not np.int64 or k * (q - 1) ** 2 < 2**63:
+            return self.reduce(a @ b)
+        rows, cols = a.reshape(math.prod(a.shape[:-1]), k), b.shape[-1]
+        out = np.zeros((len(rows), cols), np.int64)
+        count, bits = self.left_limbs(k)
+        if 0 < count <= _LEFT_LIMBS:
+            nb = max(1, _MATMUL_ENTRIES // (count * max(k, cols)))
+            for i in range(0, len(rows), nb):
+                out[i : i + nb] = self._limb_matmul(rows[i : i + nb], b, count, bits)
             return out.reshape(a.shape[:-1] + (cols,))
-        step = (2**63 - 1) // (q - 1) ** 2 if self.dtype is np.int64 else max(k, 1)
-        out = self.reduce(a[..., :step] @ b[..., :step, :])
-        for s in range(step, k, step):
-            out += self.reduce(a[..., s : s + step] @ b[..., s : s + step, :])
-            self.reduce(out)
-        return out
+        kb = max(1, min(k, (2**63 - 1) // q - 1, _MATMUL_ENTRIES // cols))
+        nb = max(1, _MATMUL_ENTRIES // (kb * cols))
+        for i, s in itertools.product(range(0, len(rows), nb), range(0, k, kb)):
+            acc, part = out[i : i + nb], rows[i : i + nb, s : s + kb, None]
+            acc += self.mul(part, b[s : s + kb]).sum(1)
+            self.reduce(acc)
+        return out.reshape(a.shape[:-1] + (cols,))
 
     def left_limbs(self, k: int) -> tuple[int, int]:
-        """(count, bits) of the limbs the ``wide`` :meth:`matmul` splits its
+        """(count, bits) of the limbs the int64 :meth:`matmul` splits its
         left operand into for a contraction of length k >= 1: the widest
         ``bits`` with max(k, 2) (2^bits - 1)(q - 1) < 2^63, and the fewest
         limbs of that width; count is 0 when no width fits."""
@@ -376,6 +367,14 @@ class Residues:
                 total = self.mul(self.reduce(total), radix)
                 total += part
         return total.astype(self.dtype, copy=False)
+
+
+@functools.lru_cache(maxsize=256)
+def _column(dtype: type, values: tuple[int, ...]) -> np.ndarray:
+    """``values`` as a read-only column of ``dtype``, built once."""
+    out = np.array(values, dtype)[:, None]
+    out.flags.writeable = False
+    return out
 
 
 def _split(a: np.ndarray, count: int, bits: int) -> list[np.ndarray]:

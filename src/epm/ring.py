@@ -288,12 +288,7 @@ def from_array(res: Residues, a: np.ndarray) -> EpmMatrix:
     """The ring element whose row i is row i of the m x m residue array
     ``a`` mod p^(i+1).  A structure-blind product mod p^m of ring elements
     reduced this way is their ring product."""
-    mods = res.params.row_moduli
-    if res.dtype is np.uint64:
-        # Masks, not moduli: 2^64 itself does not fit in uint64.
-        a = a & np.array([r - 1 for r in mods], np.uint64)[:, None]
-    else:
-        a = a % np.array(mods, res.dtype)[:, None]
+    a = res.rem(a, res.params.row_moduli)
     return EpmMatrix(res.params, tuple(map(tuple, a.tolist())))
 
 
@@ -333,14 +328,12 @@ def lift_array(res: Residues, a: np.ndarray) -> np.ndarray:
     a = a.reshape(m, m, -1)
     scale = np.array([p ** (m - 1 - r) for r in range(m)], res.dtype)
     out = res.mul(a, scale[:, None, None])
-    floor = np.maximum(scale[:, None], scale[None, :])[:, :, None]
-    # One matrix row r at a time, so no temporary is as large as `out`; on
-    # uint64 the floors are powers of 2 and a mask replaces the division.
+    # Entry (r, s) with s >= r is a multiple of its floor p^(m-1-r) by
+    # construction, so the floor p^(m-1-s) of column s decides.  One matrix
+    # row r at a time, so no temporary is as large as `out`.
+    floors = tuple(p ** (m - 1 - s) for s in range(m))
     for r in range(m):
-        if res.dtype is np.uint64:
-            rest = out[r] & (floor[r] - 1)
-        else:
-            rest = out[r] % floor[r]
+        rest = res.rem(out[r], floors)
         if rest.any():
             s = np.argwhere(rest)[0][0]
             raise NotInImage(

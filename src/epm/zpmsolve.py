@@ -30,9 +30,9 @@ Python ints, each solved entry subtracted at once from the block's earlier
 rows.  The pivot sequence, the results and the operation count are those of
 the unblocked elimination.
 
-The arithmetic runs on :class:`~epm.residues.Residues`, in the solver's
-working dtype :attr:`~epm.residues.Residues.narrow`.  The pivot sequence,
-the results and the operation count are the same in every dtype.
+The arithmetic runs on :class:`~epm.residues.Residues`, in the dtype the
+system's array already holds (uint32 for p = 2, m <= 32).  The pivot
+sequence, the results and the operation count are the same in every dtype.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ class SolutionSet:
 
     ``x`` is the read-only back-substitution block: column 0 is the
     particular solution, the others the kernel.  :func:`howell_solve` returns
-    it in the solver's working dtype, that of :attr:`Residues.narrow`.
+    it in the dtype of the system's array, ``object`` with Python ints.
     """
 
     def __init__(self, params: PrimePower, x: np.ndarray):
@@ -251,7 +251,6 @@ class SolutionSet:
         in the dtype of x."""
         q, x = self.params.modulus, self.x
         res = Residues.of(self.params, "python" if x.dtype == object else None)
-        res = res.narrow if res.narrow.dtype == x.dtype else res
         w = [[1]] + [[rng.randrange(q)] for _ in range(x.shape[1] - 1)]
         return tuple(res.matmul(x, np.array(w, x.dtype))[:, 0].tolist())
 
@@ -279,7 +278,7 @@ def _find_pivot(column, p: int):
 def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
     """Eliminate column by column; return the normalised pivot rows and the
     (column, valuation) of each, or raise InconsistentSystem.  ``res`` is
-    the working residues, :attr:`Residues.narrow` of the system's."""
+    the system's residues, or Python ints with ``backend="python"``."""
     p, m, q = system.params.p, system.params.m, system.params.modulus
     c, n = system.cols, system.rows
     # Rows are augmented: c coefficients, then the rhs.  `cand` holds them
@@ -366,7 +365,7 @@ def howell_solve(
     p, m, c = params.p, params.m, system.cols
     if counter is None:
         counter = OpCounter()
-    res = Residues.of(params, backend).narrow
+    res = Residues.of(params, backend)
     prows, pivots = _echelon(system, res, counter)
 
     # One back-substitution for a block of x: column 0 is the particular
@@ -377,7 +376,7 @@ def howell_solve(
         pivot_cols = {col for col, _ in pivots}
         seeds = [(f, 1) for f in range(c) if f not in pivot_cols]
         seeds += [(col, p ** (m - v)) for col, v in pivots if v > 0]
-    x = np.zeros((c, 1 + len(seeds)), prows.dtype)  # the working dtype
+    x = np.zeros((c, 1 + len(seeds)), res.dtype)
     for j, (col, value) in enumerate(seeds, start=1):
         x[col, j] = value
     # Torsion pivot column -> its generator (seed p^(m-v) > 1), whose seed stays.

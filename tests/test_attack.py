@@ -349,9 +349,25 @@ def test_bench_op_counts_are_seed_deterministic():
     assert [r.solver_ring_ops for r in r1] == [r.solver_ring_ops for r in r2]
 
 
+def test_attack_system_memory_on_uint32_residues():
+    # At p = 2, m = 20 the basis, its lift and the system array are uint32:
+    # one 400 x 401 array is 0.61 MiB.  On uint64 the build peaked at
+    # 2.63 MiB here.
+    pub = run_dhdp_session(PrimePower(2, 20), random.Random(1)).public
+    tracemalloc.start()
+    try:
+        system = build_attack_system(pub.M, pub.X, pub.GA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 2**20
+    assert system.aug.dtype == np.uint32
+
+
 def test_attack_system_memory_past_the_int64_single_matmul_bound():
-    # 19 (3^19 - 1)^2 >= 2^63, so the basis GEMM sums int64 products in
-    # chunks; multiplying every product out first peaked near 38 MiB here.
+    # 19 (3^19 - 1)^2 >= 2^63, so the basis product runs int64 @ on limbs of
+    # its left operand; multiplying every product out first peaked near
+    # 38 MiB here.
     params = PrimePower(3, 19)
     rng = random.Random(3)
     m_mat, x, ga = (random_matrix(params, rng) for _ in range(3))

@@ -303,7 +303,7 @@ def test_bench_cli(workdir, capsys):
     assert len(summary) == 2
     assert "ops_ratio=" not in summary[0]
     assert re.search(r" ops_ratio=\d+\.\d verified=yes$", summary[1])
-    assert all(" dtype=uint64 median_wall=" in line for line in summary)
+    assert all(" dtype=uint32 median_wall=" in line for line in summary)
     lines = csv_path.read_text().split("\n")
     assert lines[0] == "p,m,rep,wall_seconds,solver_ring_ops,verified"
     assert len(lines) == 6  # header + 4 records + trailing newline

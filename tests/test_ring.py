@@ -395,13 +395,15 @@ def test_combination_system_shape(golden):
 @pytest.mark.parametrize(
     "p,m,dtype",
     [
+        (2, 32, np.uint32),  # q = 2^32: the mask is all ones
+        (2, 33, np.uint64),
         (2, 63, np.uint64),
         (2, 64, np.uint64),  # q = 2^64: the mask is all ones
         (2, 65, object),
         (3, 16, np.int64),  # 16 * (3^16 - 1)^2 < 2^63: @, then % q
         (3, 17, np.int64),
         (3, 18, np.int64),
-        (3, 19, np.int64),  # 19 * (3^19 - 1)^2 >= 2^63: % q per product
+        (3, 19, np.int64),  # 19 * (3^19 - 1)^2 >= 2^63: @ on limbs
         (3, 20, np.int64),  # 3^20 > 2^31: float-quotient mulmod
         (3, 31, np.int64),
         (3, 32, object),  # 3^32 > 2^50
@@ -470,7 +472,8 @@ def _ring_product(a_rows, b_rows, mods):
 @pytest.mark.parametrize(
     "p,m",
     [
-        (2, 1), (2, 63), (2, 64), (2, 65),  # uint64 up to m = 64: row modulus 2^64
+        (2, 1), (2, 32), (2, 33),  # uint32 up to m = 32: row modulus 2^32
+        (2, 63), (2, 64), (2, 65),  # uint64 up to m = 64: row modulus 2^64
         (3, 19), (3, 20), (3, 31), (3, 32),  # int64 narrow, wide, then object
         (5, 21), (5, 22),  # the last wide int64 modulus, then object
     ],

@@ -204,11 +204,13 @@ def _check_one_column_solves(system, sol):
         assert is_solution(system, particular)
 
 
-# Moduli on each side of a dtype switch: uint64 up to 2^64, int64 with plain
-# products up to 2^31 (3^19 < 2^31 < 3^20) and with the float-quotient mulmod
-# below 2^50 (3^31, 5^21 and 33554393^2 below; 3^32, 5^22 and 33554467^2
-# above), Python ints beyond; m = 1 and a 61-bit prime.
-BOUNDARY_MODULI = [(2, 63), (2, 64), (2, 65), (3, 19), (3, 20), (2, 1), (3, 1),
+# Moduli on each side of a dtype switch: uint32 up to 2^32, uint64 up to
+# 2^64, int64 with plain products up to 2^31 (3^19 < 2^31 < 3^20) and with
+# the float-quotient mulmod below 2^50 (3^31, 5^21 and 33554393^2 below;
+# 3^32, 5^22 and 33554467^2 above), Python ints beyond; m = 1 and a 61-bit
+# prime.
+BOUNDARY_MODULI = [(2, 32), (2, 33), (2, 63), (2, 64), (2, 65), (3, 19), (3, 20),
+                   (2, 1), (3, 1),
                    (2**61 - 1, 1), (3, 31), (3, 32), (5, 21), (5, 22),
                    (33554393, 2), (33554467, 2)]
 
@@ -388,11 +390,6 @@ def _special_residues(params):
                   | {p**i for i in range(m)})
 
 
-def _residue_tiers(params):
-    res = Residues.of(params)
-    return {res, res.narrow}
-
-
 @pytest.mark.parametrize("p,m", ARITH_MODULI)
 def test_mul_sub_and_submul_match_python_ints(p, m):
     # mul returns reduced residues on every tier, and sub and submul update
@@ -405,17 +402,17 @@ def test_mul_sub_and_submul_match_python_ints(p, m):
     row = special[::-1] + [rng.choice([q - 1, rng.randrange(q)]) for _ in range(40)]
     start = [[rng.randrange(q) for _ in row] for _ in column]
     products = [[x * y % q for y in row] for x in column]
-    for res in _residue_tiers(params):
-        a, b = np.array(column, res.dtype)[:, None], np.array(row, res.dtype)
-        assert res.mul(a, b).tolist() == products
-        assert res.mul(b, q - 1).tolist() == [y * (q - 1) % q for y in row]
-        dst = np.array(start, res.dtype)
-        res.submul(dst, a, b)
-        assert dst.tolist() == [[(d - x) % q for d, x in zip(*pair)]
-                                for pair in zip(start, products)]
-        res.sub(dst, b)
-        assert dst.tolist() == [[(d - x - y) % q for d, x, y in zip(*pair, row)]
-                                for pair in zip(start, products)]
+    res = Residues.of(params)
+    a, b = np.array(column, res.dtype)[:, None], np.array(row, res.dtype)
+    assert res.mul(a, b).tolist() == products
+    assert res.mul(b, q - 1).tolist() == [y * (q - 1) % q for y in row]
+    dst = np.array(start, res.dtype)
+    res.submul(dst, a, b)
+    assert dst.tolist() == [[(d - x) % q for d, x in zip(*pair)]
+                            for pair in zip(start, products)]
+    res.sub(dst, b)
+    assert dst.tolist() == [[(d - x - y) % q for d, x, y in zip(*pair, row)]
+                            for pair in zip(start, products)]
 
 
 def _left_limb_switches(res, k_max):
@@ -427,34 +424,38 @@ def _left_limb_switches(res, k_max):
 
 @pytest.mark.parametrize("p,m", ARITH_MODULI)
 def test_matmul_matches_python_ints_across_limb_switches(p, m):
-    # a @ b mod q at k = 0, 1, 2, 64, 20000 and on both sides of every switch
-    # of the left-operand limb count, the limb/mulmod crossover included.  In
-    # each k x 1 case row 0 repeats a special residue and the column repeats
-    # q - 1: with the value whose low bits are all set, a limb one bit wider
-    # than left_limbs allows overflows the int64 sum.  k = 20000 is longer
-    # than one contraction chunk of the mulmod loop, and the 600-row block
-    # spans several row chunks.
+    # a @ b mod q at k = 0, 1, 2, 64, 20000, on both sides of the one-@ bound
+    # k (q - 1)^2 < 2^63 of int64 and on both sides of every switch of the
+    # left-operand limb count past it, the limb/mulmod crossover included.
+    # In each k x 1 case row 0 repeats a special residue and the column
+    # repeats q - 1: with q - 1, one @ of one term more overflows the int64
+    # sum, and with the value whose low bits are all set, so does a limb one
+    # bit wider than left_limbs allows.  k = 20000 is longer than one
+    # contraction chunk of the mulmod loop, and the 600-row block spans
+    # several row chunks.
     params = PrimePower(p, m)
     q, special = params.modulus, _special_residues(params)
     special_ones = 2 ** ((q - 1).bit_length() - 1) - 1
     rng = random.Random(q)
-    for res in _residue_tiers(params):
-        ks = {0, 1, 2, 64, 20000}
-        if res.wide:
-            ks.update(k + d for k in _left_limb_switches(res, 20000) for d in (0, 1))
-        cases = [([[value] * k, [rng.choice(special + [rng.randrange(q)])
-                                 for _ in range(k)]], [[q - 1]] * k)
-                 for k in sorted(ks) for value in (q - 1, special_ones)]
-        pick = lambda: rng.choice(special) if rng.random() < 0.5 else rng.randrange(q)
-        cases.append(([[pick() for _ in range(64)] for _ in range(600)],
-                      [[pick() for _ in range(3)] for _ in range(64)]))
-        for a, b in cases:
-            rows, k, cols = len(a), len(b), len(b[0]) if b else 1
-            left = np.array(a, object).reshape(rows, k)
-            right = np.array(b, object).reshape(k, cols)
-            want = (left @ right % q).tolist()
-            got = res.matmul(left.astype(res.dtype), right.astype(res.dtype))
-            assert got.tolist() == want, (k, res.dtype, res.wide and res.left_limbs(k))
+    res = Residues.of(params)
+    ks = {0, 1, 2, 64, 20000}
+    if res.dtype is np.int64:
+        one_matmul = (2**63 - 1) // (q - 1) ** 2  # from the bound, not the code
+        switches = [one_matmul, *_left_limb_switches(res, 20000)]
+        ks.update(k + d for k in switches for d in (0, 1) if 0 < k + d <= 20000)
+    cases = [([[value] * k, [rng.choice(special + [rng.randrange(q)])
+                             for _ in range(k)]], [[q - 1]] * k)
+             for k in sorted(ks) for value in (q - 1, special_ones)]
+    pick = lambda: rng.choice(special) if rng.random() < 0.5 else rng.randrange(q)
+    cases.append(([[pick() for _ in range(64)] for _ in range(600)],
+                  [[pick() for _ in range(3)] for _ in range(64)]))
+    for a, b in cases:
+        rows, k, cols = len(a), len(b), len(b[0]) if b else 1
+        left = np.array(a, object).reshape(rows, k)
+        right = np.array(b, object).reshape(k, cols)
+        want = (left @ right % q).tolist()
+        got = res.matmul(left.astype(res.dtype), right.astype(res.dtype))
+        assert got.tolist() == want, (k, res.dtype, res.left_limbs(max(k, 1)))
 
 
 # Moduli whose multi-row products can take the float64 GEMMs of
@@ -479,30 +480,30 @@ def test_matmul_float_gemms_match_python_ints(p, m):
     k_max = (2**53 - 1) // (q - 1) ** 2  # from the bound, not res.k_max
     rng = random.Random(q)
     pick = lambda: rng.choice((0, 1, q - 1)) if rng.random() < 0.5 else rng.randrange(q)
-    for res in _residue_tiers(params):
-        k = min(max(k_max, 1), 20)
-        w = -(-512 // k)  # the narrowest b with 512 multiply-adds per row
-        rows = -(-4096 // w)  # the fewest rows with 4096 output entries
-        shapes = [((rows,), k, w), ((rows - 1,), k, w), ((rows + 40,), k, w - 1),
-                  ((3, 50), k, max(w, 64)), ((64,), 0, 64)]
-        for lead, k, w in shapes:
-            a = np.array([pick() for _ in range(math.prod(lead) * k)], object)
-            b = np.array([[pick() for _ in range(w)] for _ in range(k)], object)
-            a = a.reshape(lead + (k,))
-            got = res.matmul(a.astype(res.dtype), b.reshape(k, w).astype(res.dtype))
-            assert got.tolist() == (a @ b.reshape(k, w) % q).tolist(), (lead, k, w)
-        for k in (k_max, k_max + 1):
-            if k > 2**14:
-                continue
-            w = max(64, -(-512 // max(k, 1)))
-            left = np.array([[q - 1] * k] + [[pick() for _ in range(k)]
-                                             for _ in range(2)], object)
-            right = np.array([[q - 1] * k] + [[pick() for _ in range(k)]
-                                              for _ in range(2)], object).T.reshape(k, 3)
-            want = (left @ right % q)[np.arange(64)[:, None] % 3, np.arange(w) % 3]
-            a = left[np.arange(64) % 3].astype(res.dtype)
-            b = right[:, np.arange(w) % 3].astype(res.dtype)
-            assert res.matmul(a, b).tolist() == want.tolist(), (k, res.dtype)
+    res = Residues.of(params)
+    k = min(max(k_max, 1), 20)
+    w = -(-512 // k)  # the narrowest b with 512 multiply-adds per row
+    rows = -(-4096 // w)  # the fewest rows with 4096 output entries
+    shapes = [((rows,), k, w), ((rows - 1,), k, w), ((rows + 40,), k, w - 1),
+              ((3, 50), k, max(w, 64)), ((64,), 0, 64)]
+    for lead, k, w in shapes:
+        a = np.array([pick() for _ in range(math.prod(lead) * k)], object)
+        b = np.array([[pick() for _ in range(w)] for _ in range(k)], object)
+        a = a.reshape(lead + (k,))
+        got = res.matmul(a.astype(res.dtype), b.reshape(k, w).astype(res.dtype))
+        assert got.tolist() == (a @ b.reshape(k, w) % q).tolist(), (lead, k, w)
+    for k in (k_max, k_max + 1):
+        if k > 2**14:
+            continue
+        w = max(64, -(-512 // max(k, 1)))
+        left = np.array([[q - 1] * k] + [[pick() for _ in range(k)]
+                                         for _ in range(2)], object)
+        right = np.array([[q - 1] * k] + [[pick() for _ in range(k)]
+                                          for _ in range(2)], object).T.reshape(k, 3)
+        want = (left @ right % q)[np.arange(64)[:, None] % 3, np.arange(w) % 3]
+        a = left[np.arange(64) % 3].astype(res.dtype)
+        b = right[:, np.arange(w) % 3].astype(res.dtype)
+        assert res.matmul(a, b).tolist() == want.tolist(), (k, res.dtype)
 
 
 # Odd p on each residue tier: int64, wide int64 and object.
@@ -657,11 +658,8 @@ def test_submatmul_matches_python_ints(p, m):
     # limb one bit wider, or one GEMM past the bound, rounds a float64 sum.
     # (2, 20) and (3, 16) switch from one GEMM to limbs at k = 8193 and 5;
     # (2, 32) is the widest modulus of the uint32 tier.
-    # The last shape spans several row and contraction chunks.  Both the
-    # residues of Residues.of and the solver's narrow ones are checked.
-    params = PrimePower(p, m)
-    for res in {Residues.of(params), Residues.of(params).narrow}:
-        _check_submatmul(res)
+    # The last shape spans several row and contraction chunks.
+    _check_submatmul(Residues.of(PrimePower(p, m)))
 
 
 def _check_submatmul(res):
