@@ -210,9 +210,8 @@ def _check_one_column_solves(system, sol):
 # 3^32, 5^22 and 33554467^2 above), Python ints beyond; m = 1 and a 61-bit
 # prime.
 BOUNDARY_MODULI = [(2, 32), (2, 33), (2, 63), (2, 64), (2, 65), (3, 19), (3, 20),
-                   (2, 1), (3, 1),
-                   (2**61 - 1, 1), (3, 31), (3, 32), (5, 21), (5, 22),
-                   (33554393, 2), (33554467, 2)]
+                   (2, 1), (3, 1), (2**61 - 1, 1), (3, 31), (3, 32), (5, 21),
+                   (5, 22), (33554393, 2), (33554467, 2)]
 
 
 def _boundary_system(rng, params, rows=4, cols=4):
@@ -442,7 +441,7 @@ def test_matmul_matches_python_ints_across_limb_switches(p, m):
     if res.dtype is np.int64:
         one_matmul = (2**63 - 1) // (q - 1) ** 2  # from the bound, not the code
         switches = [one_matmul, *_left_limb_switches(res, 20000)]
-        ks.update(k + d for k in switches for d in (0, 1) if 0 < k + d <= 20000)
+        ks.update(k + d for k in switches for d in (0, 1) if k + d <= 20000)
     cases = [([[value] * k, [rng.choice(special + [rng.randrange(q)])
                              for _ in range(k)]], [[q - 1]] * k)
              for k in sorted(ks) for value in (q - 1, special_ones)]
