@@ -5,9 +5,9 @@ ring and the attack.
 p = 2 and m <= 32, uint64 for p = 2 and m <= 64, int64 for moduli below
 2^50, and ``object`` (arbitrary-precision Python integers) otherwise.  The
 ring, the systems and the solver all hold this one dtype.
-:meth:`~Residues.submatmul` runs the solver's blocked products, and
-:meth:`~Residues.matmul` large multi-row ones, on float64 BLAS GEMMs, exact
-by construction.
+:meth:`~Residues.submatmul` runs the solver's products of more than one
+row, and :meth:`~Residues.matmul` large multi-row ones, on float64 BLAS
+GEMMs, exact by construction.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ _GEMM_OUTPUT = 4096
 _GEMM_ROW_WORK = 512
 #: Entries per temporary of the int64 :meth:`Residues.matmul` past one ``@``.
 _MATMUL_ENTRIES = 1 << 16
-#: The most left-operand limbs for which that :meth:`Residues.matmul` takes
-#: int64 products of limbs rather than one mulmod per product.
-_LEFT_LIMBS = 3
 
 
 @dataclass(frozen=True)
@@ -93,8 +90,8 @@ class Residues:
     (34 us against 32 us, 175 us against 168 us), the GEMMs win from two
     rows, and by 12x and 26x at 64 rows.  At q = 2^32 (two limbs, three
     GEMMs) they lose up to about eight rows, 128 us against 32 us at one
-    row.  So the solver uses it for blocks of rows, and single-row
-    products stay on :meth:`matmul`.
+    row.  So a one-row ``dst`` runs through :meth:`matmul` and :meth:`sub`
+    instead.
 
     :meth:`matmul` runs large products with k <= :attr:`k_max` through
     the same one-GEMM code.
@@ -211,37 +208,28 @@ class Residues:
         product (m^2 x m) @ (m x m^2) took 19.5 us against 10.8 us at
         m = 8 and 61 us against 57 us at m = 12, then won: 159 us against
         219 us at m = 16, 333 against 592 at m = 20, 701 against 1457 at
-        m = 24.  At (2, 32), where no GEMM is exact, einsum took that
-        product from 33.3 ms on uint64 ``@`` to 6.7 ms, and an m x m ring
-        product from 42 us to 13 us.
+        m = 24.
 
         Otherwise uint32 runs through ``np.einsum``, which vectorises 32-bit
         lanes where integer ``@`` is a scalar loop (7.4 us against 15.2 us
         for the solver's (1 x 63) @ (63 x 401)); wraparound mod 2^32 is
-        exact in any summation order.  uint64, ``object`` and int64 with
-        k (q - 1)^2 < 2^63 take one ``@``, which cannot overflow int64, and
-        one reduction.
+        exact in any summation order.  uint64 and ``object`` take one ``@``
+        and one reduction.
 
-        Past that bound int64 ``a`` splits into the limbs of
-        :meth:`left_limbs`, a = sum_t a_t 2^(bits t), when there are at most
-        ``_LEFT_LIMBS`` of them.  Each a_t @ b is one int64 ``@``, exact as
-        k (2^bits - 1)(q - 1) < 2^63, and is reduced.  Horner steps
+        int64 takes the (count, bits) of :meth:`left_limbs` for k >= 1.
+        One limb is one ``@`` and one reduction, as k = 0 is: the sum stays
+        below k (2^bits - 1)(q - 1) < 2^63.  With more, ``a`` splits into
+        limbs a = sum_t a_t 2^(bits t), each a_t @ b is one int64 ``@``,
+        exact by the same bound, and is reduced.  Horner steps
         out = (out 2^bits + part) mod q recombine them below
         (q - 1)(2^bits + 1) < 2^63: for bits >= 2 that is at most twice the
-        bound at k >= 2, and q < 2^50 covers bits <= 1.  With more limbs
-        :meth:`mul` takes every product, and the sums run over at most
-        floor((2^63-1)/q) - 1 of them onto a total below q.  These proofs
-        hold for every q < 2^50, on both int64 tiers.  Either way the rows
-        run in chunks that keep temporaries near ``_MATMUL_ENTRIES`` entries.
-
-        The crossover, measured on a 2-CPU host (Python 3.11, numpy 2.4,
-        median of 9 alternating runs) for the solver's single-row products
-        (1 x k) @ (k x w), k = 8 to 64, against the mulmod loop: two limbs
-        took 0.22 to 0.85 of its time, three 0.57 to 0.94 at w = 200 and 400
-        and 1.1 at w = 1, four 0.73 to 0.91 and 1.35, and five to eight
-        1.23 to 2.22, although a 32-row block with five still took 0.65.
+        bound at k >= 2, and q < 2^50 covers bits <= 1.  The rows run in
+        chunks that keep temporaries near ``_MATMUL_ENTRIES`` entries.  No
+        width fits once k (q - 1) >= 2^63, which takes k > 2^13 as q < 2^50:
+        the contraction then splits in two, and the sum of the two reduced
+        halves, below 2q, is reduced.  These proofs hold for every q < 2^50,
+        on both int64 tiers.
         """
-        q = self.params.modulus
         k, w = a.shape[-1], b.shape[-1]
         if a.size * w >= _GEMM_OUTPUT * k and k * w >= _GEMM_ROW_WORK and k <= self.k_max:
             out = np.empty(a.shape[:-1] + (w,), self.dtype)
@@ -250,23 +238,19 @@ class Residues:
             return out
         if self.dtype is np.uint32:
             return self.reduce(np.einsum("...k,kj->...j", a, b))
-        if self.dtype is not np.int64 or k * (q - 1) ** 2 < 2**63:
+        count, bits = self.left_limbs(k) if self.dtype is np.int64 and k else (1, 0)
+        if count == 1:
             return self.reduce(a @ b)
-        rows, cols = a.reshape(math.prod(a.shape[:-1]), k), b.shape[-1]
-        out = np.zeros((len(rows), cols), np.int64)
-        count, bits = self.left_limbs(k)
-        if 0 < count <= _LEFT_LIMBS:
-            nb = max(1, _MATMUL_ENTRIES // (count * max(k, cols)))
-            for i in range(0, len(rows), nb):
-                out[i : i + nb] = self._limb_matmul(rows[i : i + nb], b, count, bits)
-            return out.reshape(a.shape[:-1] + (cols,))
-        kb = max(1, min(k, (2**63 - 1) // q - 1, _MATMUL_ENTRIES // cols))
-        nb = max(1, _MATMUL_ENTRIES // (kb * cols))
-        for i, s in itertools.product(range(0, len(rows), nb), range(0, k, kb)):
-            acc, part = out[i : i + nb], rows[i : i + nb, s : s + kb, None]
-            acc += self.mul(part, b[s : s + kb]).sum(1)
-            self.reduce(acc)
-        return out.reshape(a.shape[:-1] + (cols,))
+        if not count:
+            out = self.matmul(a[..., : k // 2], b[: k // 2])
+            out += self.matmul(a[..., k // 2 :], b[k // 2 :])
+            return self.reduce(out)
+        rows = a.reshape(math.prod(a.shape[:-1]), k)
+        out = np.empty((len(rows), w), np.int64)
+        nb = max(1, _MATMUL_ENTRIES // (count * max(k, w)))
+        for i in range(0, len(rows), nb):
+            out[i : i + nb] = self._limb_matmul(rows[i : i + nb], b, count, bits)
+        return out.reshape(a.shape[:-1] + (w,))
 
     def left_limbs(self, k: int) -> tuple[int, int]:
         """(count, bits) of the limbs the int64 :meth:`matmul` splits its
@@ -294,14 +278,13 @@ class Residues:
         into for a contraction of length k: (1, 0), no split, when one
         float64 GEMM is exact or the dtype is ``object``, else the fewest
         limbs of the widest width that the exactness bound admits."""
-        q = self.params.modulus
-        if self.dtype is object or k * (q - 1) ** 2 < 2**53:
+        if self.dtype is object or k <= self.k_max:
             return 1, 0
-        bits = 26
+        top, bits = (self.params.modulus - 1).bit_length(), 26
         for count in itertools.count(2):
             while count * k * (2**bits - 1) ** 2 >= 2**53:
                 bits -= 1
-            if count * bits >= (q - 1).bit_length():
+            if count * bits >= top:
                 return count, bits
 
     def submatmul(self, dst: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -312,9 +295,14 @@ class Residues:
         The work runs in chunks of at most ``_GEMM_ROWS`` rows and of a
         contraction over which ``b`` converts to at most ``_GEMM_ENTRIES``
         float64 entries, but never fewer than ``_GEMM_TERMS`` terms, so that
-        the multipliers of one elimination panel make a single pass.
+        the multipliers of one elimination panel make a single pass.  A
+        one-row ``dst``, where the GEMMs lose, runs through :meth:`matmul`
+        and :meth:`sub`.
         """
-        self._gemms(dst, a, b)
+        if len(dst) == 1:
+            self.sub(dst, self.matmul(a, b))
+        else:
+            self._gemms(dst, a, b)
 
     def _gemms(self, dst, a, b, assign: bool = False) -> None:
         """dst -= a @ b mod q, in place, in the chunks of :meth:`submatmul`;

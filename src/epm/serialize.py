@@ -51,6 +51,9 @@ __all__ = [
 FORMAT_TAG = "EPM/1"
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+#: A line of ASCII decimal integers: ``int`` alone would also take ``1_0``,
+#: ``+3``, surrounding whitespace and non-ASCII digits.
+_INTS_RE = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
 
 
 class ParseError(ValueError):
@@ -113,10 +116,9 @@ def _int_fields(line: str, lineno: int, expect: int | None = None) -> list[int]:
     parts = line.split(" ")
     if any(p == "" for p in parts):
         raise ParseError("stray whitespace", lineno)
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise ParseError(f"non-integer token in {line!r}", lineno) from None
+    if not _INTS_RE.fullmatch(line):
+        raise ParseError(f"non-integer token in {line!r}", lineno)
+    values = [int(p) for p in parts]
     if expect is not None and len(values) != expect:
         raise ParseError(f"expected {expect} integers, got {len(values)}", lineno)
     return values

@@ -313,7 +313,7 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
             if trailing and mults[:t, r].any():
                 # The trailing part still lacks this panel's earlier pivots.
                 done = prows[first : first + t, c1:]
-                res.sub(prow[c1:], res.matmul(mults[None, :t, r], done)[0])
+                res.submatmul(prow[None, c1:], mults[None, :t, r], done)
                 mults[:t, r] = 0
             pv = p**v
             unit = int(prow[col]) // pv
@@ -379,8 +379,6 @@ def howell_solve(
     x = np.zeros((c, 1 + len(seeds)), res.dtype)
     for j, (col, value) in enumerate(seeds, start=1):
         x[col, j] = value
-    # Torsion pivot column -> its generator (seed p^(m-v) > 1), whose seed stays.
-    kept = {col: j for j, (col, value) in enumerate(seeds, start=1) if value != 1}
     # Blocks of PANEL pivots, last block first.  The rows of x solved by later
     # blocks enter as one product; inside a block the rows are solved in turn.
     for k0 in reversed(range(0, len(pivots), PANEL)):
@@ -395,21 +393,20 @@ def howell_solve(
         for k in reversed(range(k0, k1)):
             col, v = pivots[k]
             counter.add(c - col - 1)
-            done = res.matmul(prows[k : k + 1, col + 1 : hi], x[col + 1 : hi])[0]
-            d = rest[k - k0]
-            res.sub(d, done)
-            if col in kept:
-                d[kept[col]] = 0
+            d = rest[k - k0 : k - k0 + 1]
+            res.submatmul(d, prows[k : k + 1, col + 1 : hi], x[col + 1 : hi])
             if v > 0:
                 if (d % p**v).any():
                     # Completion rows guarantee this never fires on kernel columns.
                     raise InconsistentSystem(f"no preimage for pivot column {col}", col)
                 d //= p**v
-            x[col] += d
-    # The generators' share, charged as separate passes would be: a torsion
-    # generator skips its own pivot row.
+            x[col] += d[0]
+    # The generators' share, charged as separate passes would be.  A torsion
+    # generator skips its own pivot row: it is zero past its seed column, so
+    # that row leaves the seed as it is.
     width = sum(c - col - 1 for col, _ in pivots)
-    counter.add(width * len(seeds) - sum(c - col - 1 for col in kept))
+    torsion = sum(c - col - 1 for col, value in seeds if value != 1)
+    counter.add(width * len(seeds) - torsion)
 
     return SolutionSet(params, x)
 

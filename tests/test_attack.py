@@ -381,9 +381,9 @@ def test_attack_system_memory_past_the_int64_single_matmul_bound():
 
 
 def test_attack_memory_on_the_wide_int64_tier():
-    # 5^21 > 2^31: every product is a float-quotient mulmod over chunks of
-    # about 2^16 entries.  On object arrays build_attack_system peaked at
-    # 16.5 MiB here.
+    # 5^21 > 2^31: every product takes int64 products of left-operand limbs
+    # over chunks of about 2^16 entries.  On object arrays
+    # build_attack_system peaked at 16.5 MiB here.
     params = PrimePower(5, 21)
     rng = random.Random(3)
     m_mat, x, ga = (random_matrix(params, rng) for _ in range(3))

@@ -116,6 +116,23 @@ def test_non_integer_token():
     _expect_error(text, lineno=5, fragment="non-integer")
 
 
+@pytest.mark.parametrize(
+    "body,lineno",
+    [
+        ("p 0_5\nm 2", 2),  # int() reads 0_5 as 5
+        ("p 5\nm +2", 3),
+        ("p 5\nm 2\nmatrix M\n1_0 +3\n15 20", 5),
+        ("p 5\nm 2\nmatrix M\n0 0\n\u0661\u0665 20", 6),  # Arabic-Indic 15
+        ("p 5\nm 2\nmatrix M\n0 0\n15 \uff12\uff10", 6),  # fullwidth 20
+        ("p 5\nm 2\nmatrix M\n0 0\t\n15 20", 5),  # int() strips the tab
+        ("p 5\nm 2\nmatrix M\n0 0\n15 20\r", 6),
+        ("p 5\nm 2\nmatrix M\n0 --3\n15 20", 5),
+    ],
+)
+def test_only_ascii_decimal_integers_parse(body, lineno):
+    _expect_error(f"EPM/1\n{body}\n", lineno, "non-integer")
+
+
 def test_wrong_dimensions():
     text = "EPM/1\np 5\nm 2\nmatrix M\n0 0 0\n0 0\n"
     _expect_error(text, lineno=5, fragment="expected 2")

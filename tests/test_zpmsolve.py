@@ -353,9 +353,10 @@ def test_wide_mul_and_matmul_match_python_ints_in_bulk(p, m):
     # quotient one too high or one too low, so the 90000 products below
     # exercise both corrections.  The 300 x 300 contraction splits into row
     # and contraction chunks of about 2^16 products.  A sum of 20000
-    # products of q - 1 overflows int64 there unless it is cut at
-    # floor((2^63 - 1) / q) terms.  k = 0, which back-substitution reaches
-    # at the last column, gives zeros.
+    # products of q - 1 overflows int64 there unless it is cut, and from
+    # 3^31 on no left-operand limb is narrow enough, so the contraction
+    # splits in two.  k = 0, which back-substitution reaches at the last
+    # column, gives zeros.
     q = p**m
     res = Residues.of(PrimePower(p, m))
     rng = random.Random(q)
@@ -376,8 +377,8 @@ def test_wide_mul_and_matmul_match_python_ints_in_bulk(p, m):
 
 # --- division-free residue arithmetic ------------------------------------------
 
-# Every dtype tier, plus 3^26, whose left-operand limb count goes from 3 to
-# 4, across the limb/mulmod crossover, below k = 20000.
+# Every dtype tier, plus 3^26, whose left-operand limb count grows from 3 to
+# 6 below k = 20000 without reaching the split of the contraction.
 ARITH_MODULI = sorted(set(BOUNDARY_MODULI + WIDE_MODULI + [(3, 26)]))
 
 
@@ -416,22 +417,22 @@ def test_mul_sub_and_submul_match_python_ints(p, m):
 
 def _left_limb_switches(res, k_max):
     """Each k < k_max after which Residues.left_limbs(k) takes another count,
-    the limb/mulmod crossover among them."""
+    the switch to count 0, where the contraction splits, among them."""
     counts = [res.left_limbs(k)[0] for k in range(1, k_max + 1)]
     return [k for k in range(1, k_max) if counts[k - 1] != counts[k]]
 
 
 @pytest.mark.parametrize("p,m", ARITH_MODULI)
 def test_matmul_matches_python_ints_across_limb_switches(p, m):
-    # a @ b mod q at k = 0, 1, 2, 64, 20000, on both sides of the one-@ bound
-    # k (q - 1)^2 < 2^63 of int64 and on both sides of every switch of the
-    # left-operand limb count past it, the limb/mulmod crossover included.
-    # In each k x 1 case row 0 repeats a special residue and the column
-    # repeats q - 1: with q - 1, one @ of one term more overflows the int64
-    # sum, and with the value whose low bits are all set, so does a limb one
-    # bit wider than left_limbs allows.  k = 20000 is longer than one
-    # contraction chunk of the mulmod loop, and the 600-row block spans
-    # several row chunks.
+    # a @ b mod q at k = 0, 1, 2, 64, 20000, on both sides of the bound
+    # k (q - 1)^2 < 2^63 of one int64 @ over the whole value and on both
+    # sides of every switch of the left-operand limb count, the switch to
+    # the split included.  In each k x 1 case row 0 repeats a special residue
+    # and the column repeats q - 1: with q - 1, one @ of one term more than
+    # that bound overflows the int64 sum, and with the value whose low bits
+    # are all set, so does a limb one bit wider than left_limbs allows.
+    # k = 20000 splits the contraction at 3^31, 5^21 and 33554393^2, and the
+    # 600-row block spans several row chunks.
     params = PrimePower(p, m)
     q, special = params.modulus, _special_residues(params)
     special_ones = 2 ** ((q - 1).bit_length() - 1) - 1
@@ -455,6 +456,12 @@ def test_matmul_matches_python_ints_across_limb_switches(p, m):
         want = (left @ right % q).tolist()
         got = res.matmul(left.astype(res.dtype), right.astype(res.dtype))
         assert got.tolist() == want, (k, res.dtype, res.left_limbs(max(k, 1)))
+
+
+@pytest.mark.parametrize("p,m", [(5, 21), (3, 31), (33554393, 2)])
+def test_no_left_limb_width_fits_twenty_thousand_terms(p, m):
+    # So the k = 20000 cases of the tests above split the contraction.
+    assert Residues.of(PrimePower(p, m)).left_limbs(20000) == (0, 0)
 
 
 # Moduli whose multi-row products can take the float64 GEMMs of
@@ -657,6 +664,7 @@ def test_submatmul_matches_python_ints(p, m):
     # limb one bit wider, or one GEMM past the bound, rounds a float64 sum.
     # (2, 20) and (3, 16) switch from one GEMM to limbs at k = 8193 and 5;
     # (2, 32) is the widest modulus of the uint32 tier.
+    # A one-row dst, at k = 0, 1, 64 and k_max, runs through matmul.
     # The last shape spans several row and contraction chunks.
     _check_submatmul(Residues.of(PrimePower(p, m)))
 
@@ -675,6 +683,8 @@ def _check_submatmul(res):
     for k, value in itertools.product(sorted(ks), full):
         top = [value] * k, [rng.choice(full + [rng.randrange(q)]) for _ in range(k)]
         cases.append((top, [[value]] * k))
+    for k, value in itertools.product((0, 1, 64, k_max), full):
+        cases.append(([[value] * k], [[value, rng.randrange(q)] for _ in range(k)]))
     rows, k, cols = 66, 130, 260
     pick = lambda: rng.choice(full) if rng.random() < 0.8 else rng.randrange(q)
     cases.append(([[pick() for _ in range(k)] for _ in range(rows)],
@@ -690,7 +700,7 @@ def _check_submatmul(res):
         assert got.tolist() == want.tolist(), (rows, k, cols, res.limbs(k))
 
 
-@pytest.mark.parametrize("p,m", [(2, 20), (3, 16), (5, 14)])
+@pytest.mark.parametrize("p,m", [(2, 20), (3, 16), (5, 14), (5, 21)])
 def test_session_solves_stay_inside_the_memory_budget(p, m):
     # Each solve holds the candidates, the pivot rows and x, each at most as
     # large as the system array; every other temporary must fit in 1 MiB.
