@@ -256,10 +256,10 @@ class Residues:
         """(count, bits) of the limbs the int64 :meth:`matmul` splits its
         left operand into for a contraction of length k >= 1: the widest
         ``bits`` with max(k, 2) (2^bits - 1)(q - 1) < 2^63, and the fewest
-        limbs of that width; count is 0 when no width fits."""
-        q = self.params.modulus
-        bits = ((2**63 - 1) // (max(k, 2) * (q - 1)) + 1).bit_length() - 1
-        return (-(-(q - 1).bit_length() // bits) if bits else 0), bits
+        limbs of that width; count is 0 when no width fits.  Cached, as
+        every int64 product asks: uncached it took 0.3 us of a 3 us
+        (1 x 20) @ (20 x 37) product at q = 3^6, 2% of a (3, 6) session."""
+        return _left_limbs(self.params.modulus, k)
 
     def _limb_matmul(self, rows, b, count: int, bits: int) -> np.ndarray:
         """rows @ b mod q from int64 products of the limbs of ``rows``."""
@@ -355,6 +355,12 @@ class Residues:
                 total = self.mul(self.reduce(total), radix)
                 total += part
         return total.astype(self.dtype, copy=False)
+
+
+@functools.lru_cache(maxsize=1024)
+def _left_limbs(q: int, k: int) -> tuple[int, int]:
+    bits = ((2**63 - 1) // (max(k, 2) * (q - 1)) + 1).bit_length() - 1
+    return (-(-(q - 1).bit_length() // bits) if bits else 0), bits
 
 
 @functools.lru_cache(maxsize=256)
