@@ -924,8 +924,8 @@ SOLVE_PINS = {
         ("53d9c554957956ab5d72401802895554741dbd8c4d668f5fff967ebdd56f6825", 77294645),
         ("bff19f4718487290d651df059c563fe672f93e82fc5f81d7b00133cad63dba50", 35812946),
     ),
-    # The most left-operand limbs of an int64 product in these pins, recorded
-    # before int64 products dropped their per-term mulmod loop.
+    # Some int64 products here need four left-operand limbs, which took a
+    # per-term mulmod loop until it was dropped; recorded before that.
     (3, 26): (
         ("c3f21a6cf391cc17022eb4c4a146e668451e9de11fdc8d3b4f9cea6deee31f14", 288938376),
         ("cba96f65ede176e67b4b9abd86e5c0a760a8b5f00fc1fc17bcee76bd7e45ba19", 127853359),
