@@ -177,16 +177,37 @@ class Residues:
         else:
             self.reduce(dst)
 
-    def submul(self, dst: np.ndarray, a, b) -> None:
-        """dst -= a * b mod q, in place, for reduced ``dst``, ``a`` and ``b``,
-        broadcast to the shape of ``dst``.  Off the ``wide`` tier the product
-        is subtracted unreduced and the difference reduced once: it wraps
-        exactly on uint64 and uint32, and stays above -2^62 on int64."""
-        if self.wide:
-            self.sub(dst, self.mul(a, b))
-        else:
+    def submul(self, dst: np.ndarray, a, b, top: int, low: int = 0) -> int:
+        """dst -= a * b mod q, in place, broadcast to the shape of ``dst``,
+        for reduced ``a`` and 0 <= b < top; returns ``low`` for the result.
+
+        ``low`` bounds how far below zero ``dst`` may lie: its entries are in
+        [-low, q), reduced when low is 0.  uint32 and uint64 wrap exactly,
+        so they subtract and mask, as ``object`` subtracts and reduces, and
+        return 0.  int64 reduces only where exactness needs it.  Each
+        product is at most step = (q - 1)(top - 1), an int64 when it is
+        below 2^63, and is then subtracted unreduced; where it is not (the
+        ``wide`` tier with top near q) the product taken is :meth:`mul`'s,
+        at most q - 1.  Entries then lie in [-(low + step), q), so ``dst``
+        is reduced first when low + step would reach 2^63.  The solver
+        passes top = p^(m-v) for a pivot of valuation v, whose multipliers
+        are residues divided by p^v; past one reduction in a thousand
+        updates at q = 5^14 (v >= 1) or 3^16, one in six at 3^19.
+        """
+        if self.dtype is not np.int64:
             dst -= np.multiply(a, b, dtype=self.dtype)
             self.reduce(dst)
+            return 0
+        q = self.params.modulus
+        step = (q - 1) * (top - 1)
+        product = None
+        if step >= 2**63:
+            product, step = self.mul(a, b), q - 1
+        if low + step >= 2**63:
+            self.reduce(dst)
+            low = 0
+        dst -= np.multiply(a, b) if product is None else product
+        return low + step
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a @ b mod q for ``a`` of at least two dimensions and a matrix

@@ -298,7 +298,13 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
         # The last panel carries the rhs and leaves no trailing columns.
         c1 = c0 + PANEL if c0 + PANEL < c else c + 1
         trailing, first = c1 <= c, len(pivots)
+        # cand[c0:c1] lies in [-low, q): Residues.submul reduces int64 panels
+        # only when it must, so each read of them below reduces first.
+        # spread: the sum of p^(m-v) - 1 over the panel's pivots so far.
+        low = spread = 0
         for col in range(c0, min(c1, c)):
+            if low:
+                res.reduce(cand[col])
             found = _find_pivot(cand[col, order[:n]], p)
             if found is None:
                 continue
@@ -306,14 +312,18 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
             r, t = order[i], len(pivots) - first
             prow = prows[len(pivots)]
             prow[col:] = cand[col:, r]
+            if low:
+                res.reduce(prow[col + 1 : c1])
             cand[col:, r] = 0
             order[i : n - 1] = order[i + 1 : n]
             order[n - 1] = r
             n -= 1
             if trailing and mults[:t, r].any():
                 # The trailing part still lacks this panel's earlier pivots.
+                # Multiplier t' is below p^(m-v_t'), so their products with
+                # residues sum to at most spread (q - 1).
                 done = prows[first : first + t, c1:]
-                res.submatmul(prow[None, c1:], mults[None, :t, r], done)
+                _submatvec(res, prow[c1:], mults[:t, r], done, spread * (q - 1))
                 mults[:t, r] = 0
             pv = p**v
             unit = int(prow[col]) // pv
@@ -323,13 +333,19 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
             # is the elimination's full cubic operation count.
             counter.add((c + 1 - col) * (1 + n))
             mult = cand[col] // pv
-            res.submul(cand[col + 1 : c1], prow[col + 1 : c1, None], mult)
+            top = p ** (m - v)
+            low = res.submul(cand[col + 1 : c1], prow[col + 1 : c1, None], mult, top, low)
+            spread += top - 1
             if trailing:
                 mults[t] = mult
             pivots.append((col, v))
             if v > 0:
                 counter.add(c + 1 - col)
-                comp = res.mul(prow[col:], p ** (m - v))
+                if res.dtype is np.int64:
+                    # p^(m-v) x mod p^m = p^(m-v) (x mod p^v), below q.
+                    comp = prow[col:] % pv * top
+                else:
+                    comp = res.mul(prow[col:], top)
                 cand[col:, r] = comp
                 n += bool(comp[1:].any())
                 del comp  # not held into the next pivot's temporaries
@@ -339,6 +355,8 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
 
     # Leftover candidates have zero coefficients: every column was either
     # pivoted (entry eliminated exactly) or skipped (entries already zero).
+    if low:
+        res.reduce(cand[c])
     if cand[c, order[:n]].any():
         raise InconsistentSystem("contradictory zero row")
     return prows, pivots
@@ -362,7 +380,7 @@ def howell_solve(
     solution is needed.
     """
     params = system.params
-    p, m, c = params.p, params.m, system.cols
+    p, m, q, c = params.p, params.m, params.modulus, system.cols
     if counter is None:
         counter = OpCounter()
     res = Residues.of(params, backend)
@@ -390,17 +408,25 @@ def howell_solve(
         if x.shape[1] == 1:
             _solve_column(prows, pivots, k0, k1, rest, x, counter, params)
             continue
+        # Rows of x are at most 1 at a free column and below 2 p^(m-v) at a
+        # pivot of valuation v: the seed p^(m-v) plus a residue divided by
+        # p^v.  span sums those bounds over x[col + 1 : hi], so each row's
+        # product with the residues of prows is at most span (q - 1).
+        span, below = 0, hi
         for k in reversed(range(k0, k1)):
             col, v = pivots[k]
             counter.add(c - col - 1)
-            d = rest[k - k0 : k - k0 + 1]
-            res.submatmul(d, prows[k : k + 1, col + 1 : hi], x[col + 1 : hi])
+            span += below - col - 1
+            d = rest[k - k0]
+            _submatvec(res, d, prows[k, col + 1 : hi], x[col + 1 : hi], span * (q - 1))
             if v > 0:
                 if (d % p**v).any():
                     # Completion rows guarantee this never fires on kernel columns.
                     raise InconsistentSystem(f"no preimage for pivot column {col}", col)
                 d //= p**v
-            x[col] += d[0]
+            x[col] += d
+            span += 2 * p ** (m - v) - 1
+            below = col
     # The generators' share, charged as separate passes would be.  A torsion
     # generator skips its own pivot row: it is zero past its seed column, so
     # that row leaves the seed as it is.
@@ -409,6 +435,19 @@ def howell_solve(
     counter.add(width * len(seeds) - torsion)
 
     return SolutionSet(params, x)
+
+
+def _submatvec(res: Residues, dst, a, b, bound: int) -> None:
+    """dst -= a @ b mod q, in place, for a reduced row ``dst``, a vector
+    ``a`` and a matrix ``b`` whose product has no entry above ``bound``.
+    On int64 with bound < 2^63 that is one int64 ``@``, exact, and
+    dst - a @ b stays above -2^63, so one reduction follows; otherwise it is
+    :meth:`Residues.submatmul`'s one-row product."""
+    if res.dtype is np.int64 and bound < 2**63:
+        dst -= a @ b
+        res.reduce(dst)
+    else:
+        res.submatmul(dst[None], a[None], b)
 
 
 def _solve_column(prows, pivots, k0, k1, rest, x, counter, params) -> None:

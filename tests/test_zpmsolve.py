@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -407,7 +408,10 @@ def test_mul_sub_and_submul_match_python_ints(p, m):
     assert res.mul(a, b).tolist() == products
     assert res.mul(b, q - 1).tolist() == [y * (q - 1) % q for y in row]
     dst = np.array(start, res.dtype)
-    res.submul(dst, a, b)
+    low = res.submul(dst, a, b, q)
+    if low:  # int64 defers the reduction: dst lies in [-low, q), low < 2^63
+        assert res.dtype is np.int64 and low < 2**63 and dst.min() >= -low
+        res.reduce(dst)
     assert dst.tolist() == [[(d - x) % q for d, x in zip(*pair)]
                             for pair in zip(start, products)]
     res.sub(dst, b)
@@ -698,6 +702,140 @@ def _check_submatmul(res):
         res.submatmul(got, np.array(a, res.dtype).reshape(rows, k),
                       np.array(b, res.dtype).reshape(k, cols))
         assert got.tolist() == want.tolist(), (rows, k, cols, res.limbs(k))
+
+
+# --- valuation-bounded int64 products ------------------------------------------
+
+# Both int64 tiers: q just below and just above 2^31, the benchmark's 5^14,
+# and the wide tier's end below 2^50.
+INT64_MODULI = [(3, 19), (3, 20), (5, 14), (3, 31), (5, 21), (33554393, 2)]
+
+
+def _shaped_system(seed, params, shape, consistent=True, rows=80, cols=72):
+    """A system wider than one panel.  "unit": uniform residues, so nearly
+    every pivot is a unit.  "torsion": column j holds multiples of p^f_j
+    for a random 1 <= f_j < m, so every pivot has valuation at least 1 and
+    most feed back a completion row.  "deficient": the product of a rows x
+    6 and a 6 x cols block, so rank is at most 6 and the kernel is wide.  A
+    consistent rhs is coeffs times a random x."""
+    rng = random.Random(seed)
+    p, m, q = params.p, params.m, params.modulus
+    block = lambda r, c: np.array([[rng.randrange(q) for _ in range(c)]
+                                   for _ in range(r)], object)
+    if shape == "torsion":
+        floors = np.array([p ** rng.randint(1, max(m - 1, 1)) for _ in range(cols)], object)
+        coeffs = block(rows, cols) * floors % q
+    elif shape == "deficient":
+        coeffs = block(rows, 6) @ block(6, cols) % q
+    else:
+        coeffs = block(rows, cols)
+    rhs = coeffs @ block(cols, 1)[:, 0] % q if consistent else block(rows, 1)[:, 0]
+    return ZpmSystem(params, coeffs, rhs)
+
+
+def _echelon_outcome(system, backend):
+    """The pivot rows, the (column, valuation) pivots and the OpCounter
+    total of the elimination, or its InconsistentSystem message."""
+    counter = OpCounter()
+    try:
+        prows, pivots = zpmsolve._echelon(system, Residues.of(system.params, backend),
+                                          counter)
+    except InconsistentSystem as exc:
+        return str(exc), counter.muls
+    return (prows.tolist(), pivots), counter.muls
+
+
+def _record_submul(monkeypatch):
+    """Record (top, low passed, low returned) of every int64 Residues.submul
+    call."""
+    calls, submul = [], Residues.submul
+
+    def record(res, dst, a, b, top, low=0):
+        out = submul(res, dst, a, b, top, low)
+        if res.dtype is np.int64:
+            calls.append((top, low, out))
+        return out
+
+    monkeypatch.setattr(Residues, "submul", record)
+    return calls
+
+
+@pytest.mark.parametrize("shape", ["unit", "torsion", "deficient"])
+@pytest.mark.parametrize("p,m", INT64_MODULI)
+def test_deferred_panel_reductions_match_python_ints(p, m, shape):
+    # int64 panels take their rank-1 updates unreduced and reduce only the
+    # pivot column, the pivot row's panel part and the rhs when they are
+    # read, and the panel block when its bound would reach 2^63.  The pivot
+    # rows, the pivots, x or the InconsistentSystem, and the OpCounter
+    # totals are those of Python ints, with a consistent rhs and without.
+    for consistent in (True, False):
+        system = _shaped_system(p * m, PrimePower(p, m), shape, consistent)
+        default = _echelon_outcome(system, None)
+        assert default == _echelon_outcome(system, "python")
+        assert isinstance(default[0], tuple) == consistent
+        assert _full_outcome(system, None) == _full_outcome(system, "python")
+
+
+def test_unit_pivots_at_three_to_the_nineteen_reduce_mid_panel(monkeypatch):
+    """Forces the mid-panel reduction: a unit pivot at q = 3^19 subtracts
+    products up to (q - 1)^2, about 1.35e18, so the panel's bound would
+    reach 2^63 at about every sixth update, and Residues.submul reduces the
+    panel block before that update."""
+    params = PrimePower(3, 19)
+    q = params.modulus
+    calls = _record_submul(monkeypatch)
+    system = _shaped_system(5, params, "unit", rows=70, cols=70)
+    assert _echelon_outcome(system, None) == _echelon_outcome(system, "python")
+    assert (2**63 - 1) // (q - 1) ** 2 == 6
+    # The bound after each update, in steps of (q - 1)^2: back to one step
+    # after every sixth.
+    steps = [out // (q - 1) ** 2 for top, _, out in calls if top == q]
+    assert steps[:14] == [1, 2, 3, 4, 5, 6] * 2 + [1, 2]
+
+
+@pytest.mark.parametrize("p,m", [(5, 21), (3, 31), (33554393, 2)])
+def test_unit_pivots_near_two_to_the_fifty_take_reduced_products(p, m, monkeypatch):
+    """Forces the wide tier's mul branch: a unit pivot's products with q
+    near 2^50 reach (q - 1)^2 >= 2^63, so Residues.submul subtracts the
+    reduced Residues.mul products instead, and the panel's bound grows by
+    q - 1 per update."""
+    params = PrimePower(p, m)
+    q = params.modulus
+    calls = _record_submul(monkeypatch)
+    system = _shaped_system(7, params, "unit", rows=70, cols=70)
+    assert _echelon_outcome(system, None) == _echelon_outcome(system, "python")
+    assert (q - 1) ** 2 >= 2**63
+    assert [out - low for top, low, out in calls if top == q][:3] == [q - 1] * 3
+
+
+@pytest.mark.parametrize("p,m", WIDE_MODULI)
+def test_bounded_back_substitution_matches_python_ints(p, m, monkeypatch):
+    # A kernel row's product is one int64 @ while the rows of x it reads,
+    # below 2 at a free column and below 2 p^(m-v) at a pivot of valuation
+    # v, bound it below 2^63.  Torsion-only blocks (v >= 1) take it where
+    # the valuations are high; a block holding a unit pivot (v = 0) falls
+    # back above it.  At 5^21 and 3^31, (q - 1) 2 p^(m-v) passes 2^63 for
+    # small v even without a unit pivot.  x must match Python ints.
+    params = PrimePower(p, m)
+    q = params.modulus
+    bounds, submatvec = [], zpmsolve._submatvec
+
+    def record(res, dst, a, b, bound):
+        if res.dtype is np.int64 and sys._getframe(1).f_code.co_name == "howell_solve":
+            bounds.append(bound)
+        submatvec(res, dst, a, b, bound)
+
+    monkeypatch.setattr(zpmsolve, "_submatvec", record)
+    for shape in ("unit", "torsion"):
+        bounds.clear()
+        # Fewer rows than columns leave free columns, so x has kernel columns.
+        system = _shaped_system(p + m, params, shape, rows=60)
+        pivots = _echelon_outcome(system, None)[0][1]
+        assert (min(v for _, v in pivots) == 0) == (shape == "unit")
+        assert _full_outcome(system, None) == _full_outcome(system, "python")
+        assert min(bounds) < 2**63 <= max(bounds), shape
+        if shape == "torsion" and q > 2**46:
+            assert any((q - 1) * (2 * p ** (m - v) - 1) >= 2**63 for _, v in pivots)
 
 
 @pytest.mark.parametrize("p,m", [(2, 20), (3, 16), (5, 14), (5, 21)])
