@@ -13,15 +13,17 @@ The format is line-oriented and human-diffable::
 
 A file starts with the format tag, then ``p`` and ``m``, then any number of
 named blocks.  A ``matrix`` block carries m rows of m space-separated decimal
-integers (canonical representatives); a ``poly`` block carries one line of
-coefficients, constant term first.  The writer emits LF line endings and no
-trailing whitespace, so equal values serialise to equal bytes.
+integers, row i (from 0) below its modulus p^(i+1); a ``poly`` block carries
+one line of coefficients below p^m, constant term first.  Every integer is
+written without a sign or a leading zero, and the reader refuses any other
+spelling, so each value has one text.  The writer emits LF line endings and
+no trailing whitespace, so equal values serialise to equal bytes.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .protocols import DhdpPublic, EgdpCiphertext, EgdpPrivateKey, EgdpPublicKey
 from .ring import CentralPoly, EpmMatrix, NotAMember
@@ -54,6 +56,8 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 #: A line of ASCII decimal integers: ``int`` alone would also take ``1_0``,
 #: ``+3``, surrounding whitespace and non-ASCII digits.
 _INTS_RE = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
+#: The same without a sign or a leading zero: the one text of each value.
+_CANONICAL_RE = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*")
 
 
 class ParseError(ValueError):
@@ -69,6 +73,8 @@ class Block:
     kind: str  # "matrix" or "poly"
     name: str
     payload: object  # EpmMatrix or tuple[int, ...]
+    #: The line of the first row or coefficient line, for a parsed block.
+    lineno: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -77,16 +83,16 @@ class TranscriptFile:
     blocks: tuple[Block, ...]
 
     def matrix(self, name: str) -> EpmMatrix:
-        for b in self.blocks:
-            if b.kind == "matrix" and b.name == name:
-                return b.payload
-        raise ParseError(f"missing matrix block {name!r}")
+        return self.block("matrix", name).payload
 
     def poly(self, name: str) -> tuple[int, ...]:
+        return self.block("poly", name).payload
+
+    def block(self, kind: str, name: str) -> Block:
         for b in self.blocks:
-            if b.kind == "poly" and b.name == name:
-                return b.payload
-        raise ParseError(f"missing poly block {name!r}")
+            if b.kind == kind and b.name == name:
+                return b
+        raise ParseError(f"missing {kind} block {name!r}")
 
 
 class _Lines:
@@ -118,6 +124,8 @@ def _int_fields(line: str, lineno: int, expect: int | None = None) -> list[int]:
         raise ParseError("stray whitespace", lineno)
     if not _INTS_RE.fullmatch(line):
         raise ParseError(f"non-integer token in {line!r}", lineno)
+    if not _CANONICAL_RE.fullmatch(line):
+        raise ParseError(f"sign or leading zero in {line!r}", lineno)
     values = [int(p) for p in parts]
     if expect is not None and len(values) != expect:
         raise ParseError(f"expected {expect} integers, got {len(values)}", lineno)
@@ -158,12 +166,17 @@ def parse_transcript(text: str) -> TranscriptFile:
             raise ParseError(f"duplicate block name {name!r}", lineno)
         seen.add(name)
         if kind == "matrix":
-            rows = []
-            for _ in range(params.m):
+            rows, modulus = [], 1
+            for i in range(params.m):
                 row_lineno = src.lineno
-                rows.append(
-                    _int_fields(src.take("matrix row"), row_lineno, expect=params.m)
-                )
+                row = _int_fields(src.take("matrix row"), row_lineno, expect=params.m)
+                # p^(i+1) only once row i is read: m rows bound the work.
+                modulus *= params.p
+                if max(row) >= modulus:
+                    raise ParseError(
+                        f"entry {max(row)} is not below p^{i + 1} = {modulus}", row_lineno
+                    )
+                rows.append(row)
             try:
                 payload = EpmMatrix.validate(params, rows)
             except NotAMember as exc:
@@ -175,10 +188,10 @@ def parse_transcript(text: str) -> TranscriptFile:
                 raise ParseError(
                     f"poly degree exceeds {params.m - 1}", coeff_lineno
                 )
-            # Kept as written: CentralPoly reduces them, and p^m is not
+            # Checked against p^m by the reader of the block, as p^m is not
             # computed before the caller has checked m.
             payload = tuple(coeffs)
-        blocks.append(Block(kind, name, payload))
+        blocks.append(Block(kind, name, payload, lineno + 1))
     return TranscriptFile(params, tuple(blocks))
 
 
@@ -258,11 +271,16 @@ def egdp_private_file(priv: EgdpPrivateKey) -> TranscriptFile:
 
 
 def read_egdp_private(tf: TranscriptFile) -> EgdpPrivateKey:
-    return EgdpPrivateKey(
-        tf.matrix("M"),
-        CentralPoly(tf.params, tf.poly("F1")),
-        CentralPoly(tf.params, tf.poly("F2")),
-    )
+    """The private key; refuses a poly coefficient at or above p^m, which
+    is computed here, after the caller has checked m."""
+    m_mat, q = tf.matrix("M"), tf.params.modulus
+    polys = []
+    for name in ("F1", "F2"):
+        block = tf.block("poly", name)
+        if any(c >= q for c in block.payload):
+            raise ParseError(f"poly {name} has a coefficient not below p^m", block.lineno)
+        polys.append(CentralPoly(tf.params, block.payload))
+    return EgdpPrivateKey(m_mat, *polys)
 
 
 def ciphertext_file(ct: EgdpCiphertext) -> TranscriptFile:

@@ -323,7 +323,7 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
                 # Multiplier t' is below p^(m-v_t'), so their products with
                 # residues sum to at most spread (q - 1).
                 done = prows[first : first + t, c1:]
-                _submatvec(res, prow[c1:], mults[:t, r], done, spread * (q - 1))
+                _submatrow(res, prow[None, c1:], mults[None, :t, r], done, spread * (q - 1))
                 mults[:t, r] = 0
             pv = p**v
             unit = int(prow[col]) // pv
@@ -417,14 +417,14 @@ def howell_solve(
             col, v = pivots[k]
             counter.add(c - col - 1)
             span += below - col - 1
-            d = rest[k - k0]
-            _submatvec(res, d, prows[k, col + 1 : hi], x[col + 1 : hi], span * (q - 1))
+            d = rest[k - k0 : k - k0 + 1]
+            _submatrow(res, d, prows[k : k + 1, col + 1 : hi], x[col + 1 : hi], span * (q - 1))
             if v > 0:
                 if (d % p**v).any():
                     # Completion rows guarantee this never fires on kernel columns.
                     raise InconsistentSystem(f"no preimage for pivot column {col}", col)
                 d //= p**v
-            x[col] += d
+            x[col] += d[0]
             span += 2 * p ** (m - v) - 1
             below = col
     # The generators' share, charged as separate passes would be.  A torsion
@@ -437,17 +437,17 @@ def howell_solve(
     return SolutionSet(params, x)
 
 
-def _submatvec(res: Residues, dst, a, b, bound: int) -> None:
-    """dst -= a @ b mod q, in place, for a reduced row ``dst``, a vector
-    ``a`` and a matrix ``b`` whose product has no entry above ``bound``.
-    On int64 with bound < 2^63 that is one int64 ``@``, exact, and
-    dst - a @ b stays above -2^63, so one reduction follows; otherwise it is
-    :meth:`Residues.submatmul`'s one-row product."""
+def _submatrow(res: Residues, dst, a, b, bound: int) -> None:
+    """dst -= a @ b mod q, in place, for one reduced row ``dst`` (1 x w),
+    ``a`` (1 x k) and ``b`` (k x w), where no entry of a @ b exceeds
+    ``bound``.  On int64 with bound < 2^63 that is one int64 ``@``, exact,
+    and dst - a @ b stays above -2^63, so one reduction follows; otherwise
+    it is :meth:`Residues.submatmul`'s one-row product."""
     if res.dtype is np.int64 and bound < 2**63:
         dst -= a @ b
         res.reduce(dst)
     else:
-        res.submatmul(dst[None], a[None], b)
+        res.submatmul(dst, a, b)
 
 
 def _solve_column(prows, pivots, k0, k1, rest, x, counter, params) -> None:

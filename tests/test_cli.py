@@ -201,6 +201,30 @@ def test_exit_2_on_malformed_input(workdir):
     assert sorted(f.name for f in workdir.iterdir()) == ["bad.epm"]
 
 
+@pytest.mark.parametrize(
+    "command,text,line",
+    [
+        ("attack", "matrix M\n27 0\n0 0\nmatrix X\n1 0\n0 1", 5),
+        ("attack", "matrix M\n1 0\n0 1\nmatrix X\n1 0\n-5 1", 9),
+        ("egdp-decrypt", "matrix M\n1 0\n5 1\npoly F1\n007\npoly F2\n1", 8),
+        ("egdp-decrypt", "matrix M\n1 0\n5 1\npoly F1\n30 1\npoly F2\n1", 8),
+    ],
+    ids=["attack-range", "attack-sign", "decrypt-leading-zeros", "decrypt-range"],
+)
+def test_exit_2_on_non_canonical_entries(workdir, capsys, command, text, line):
+    # Each non-canonical spelling or out-of-range entry is refused with the
+    # line it sits on, before any protocol work.
+    bad = workdir / "bad.epm"
+    bad.write_text(f"EPM/1\np 5\nm 2\n{text}\n")
+    ct = workdir / "ct.epm"
+    ct.write_text("EPM/1\np 5\nm 2\nmatrix F\n1 0\n0 1\nmatrix D\n1 0\n0 1\n")
+    flags = (["--transcript", bad] if command == "attack"
+             else ["--priv", bad, "--ct", ct])
+    assert run([command, *flags, "--out", workdir / "x.epm"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+    assert not (workdir / "x.epm").exists()
+
+
 def test_simulate_refuses_a_commuting_pair_before_any_work(workdir, monkeypatch, capsys):
     import epm.cli as cli_mod
 

@@ -168,3 +168,48 @@ def test_missing_required_block(golden):
 def test_poly_degree_capped():
     text = "EPM/1\np 5\nm 2\npoly F1\n1 2 3\n"
     _expect_error(text, lineno=5, fragment="degree")
+
+
+# --- one text per value -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "body,lineno,fragment",
+    [
+        # At p = 5, m = 2 the first three rows all read as (2, 0) through int().
+        ("matrix M\n-3 0\n0 0", 5, "sign or leading zero"),
+        ("matrix M\n007 0\n0 0", 5, "sign or leading zero"),
+        ("matrix M\n27 0\n0 0", 5, "not below p^1 = 5"),
+        ("matrix M\n5 0\n0 0", 5, "not below p^1 = 5"),
+        ("matrix M\n0 0\n0 25", 6, "not below p^2 = 25"),
+        ("matrix M\n0 0\n-0 0", 6, "sign or leading zero"),
+        ("poly F1\n-7 3", 5, "sign or leading zero"),
+        ("poly F1\n7 03", 5, "sign or leading zero"),
+    ],
+    ids=["sign", "leading-zeros", "27-in-row-0", "5-in-row-0", "25-in-row-1",
+         "minus-zero", "poly-sign", "poly-leading-zero"],
+)
+def test_non_canonical_entries_are_refused(body, lineno, fragment):
+    _expect_error(f"EPM/1\np 5\nm 2\n{body}\n", lineno, fragment)
+
+
+def test_non_canonical_header_is_refused():
+    _expect_error("EPM/1\np 05\nm 2\n", 2, "sign or leading zero")
+    _expect_error("EPM/1\np 5\nm -2\n", 3, "sign or leading zero")
+
+
+def test_canonical_entries_still_parse():
+    # 4 < 5 in the first row and 24 < 25 in the second; 0 is written alone.
+    text = "EPM/1\np 5\nm 2\nmatrix M\n4 0\n20 24\npoly F1\n0 24\n"
+    assert write_transcript(parse_transcript(text)) == text
+
+
+@pytest.mark.parametrize("f1,f2,lineno", [("30 1", "1", 8), ("1", "0 25", 10)])
+def test_private_key_coefficients_at_or_above_the_modulus_are_refused(f1, f2, lineno):
+    # The parser keeps poly lines as written, since p^m is not computed
+    # before the caller has checked m; read_egdp_private refuses them.
+    text = f"EPM/1\np 5\nm 2\nmatrix M\n1 0\n5 1\npoly F1\n{f1}\npoly F2\n{f2}\n"
+    tf = parse_transcript(text)
+    with pytest.raises(ParseError, match="not below p\\^m") as info:
+        read_egdp_private(tf)
+    assert info.value.lineno == lineno

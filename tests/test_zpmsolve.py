@@ -818,14 +818,14 @@ def test_bounded_back_substitution_matches_python_ints(p, m, monkeypatch):
     # small v even without a unit pivot.  x must match Python ints.
     params = PrimePower(p, m)
     q = params.modulus
-    bounds, submatvec = [], zpmsolve._submatvec
+    bounds, submatrow = [], zpmsolve._submatrow
 
     def record(res, dst, a, b, bound):
         if res.dtype is np.int64 and sys._getframe(1).f_code.co_name == "howell_solve":
             bounds.append(bound)
-        submatvec(res, dst, a, b, bound)
+        submatrow(res, dst, a, b, bound)
 
-    monkeypatch.setattr(zpmsolve, "_submatvec", record)
+    monkeypatch.setattr(zpmsolve, "_submatrow", record)
     for shape in ("unit", "torsion"):
         bounds.clear()
         # Fewer rows than columns leave free columns, so x has kernel columns.
