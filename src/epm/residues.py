@@ -54,19 +54,21 @@ class Residues:
     * uint32 masked with q - 1 for p = 2, m <= 32, and uint64 for
       33 <= m <= 64.  2^m divides 2^32 or 2^64, so sums and products taken
       with C wraparound are exact mod q.
-    * int64 with ``% q`` for q <= 2^31.  Entries stay in [0, q), so one
-      product is below 2^62 and one product subtracted from an entry stays
-      above -2^62.
+    * int64 with ``% q`` for q <= 2^31, where one product is below 2^62.
     * int64 for 2^31 < q < 2^50, the ``wide`` tier, where one product can
       pass 2^63.  :meth:`mul` reduces each through a rounded float64
       quotient, without a division; it is proved where it is defined.
     * ``object`` arrays of Python integers otherwise, or with
       ``backend="python"``.
 
-    :meth:`mul` returns reduced residues on every tier, and :meth:`sub` and
-    :meth:`submul` update reduced residues in place.  On int64 a difference
-    of residues lies in (-q, q), so adding q where the sign bit is set
-    reduces it, again without a division.
+    :meth:`mul` returns reduced residues on every tier, and :meth:`sub`
+    updates reduced residues in place: on int64 a difference of residues
+    lies in (-q, q), so adding q where the sign bit is set reduces it,
+    again without a division.  :meth:`submul` takes a bound on its
+    multipliers, p^(m-v) for the solver's pivot of valuation v, and on
+    int64 leaves its result unreduced, in [-low, q) for the ``low`` it
+    returns, while low stays below 2^63; its caller reduces an entry before
+    reading it.
 
     :meth:`submatmul`, dst -= a @ b, runs on float64 GEMMs for every
     machine-integer dtype.  Entries are integers in [0, q).  When
@@ -184,15 +186,16 @@ class Residues:
         ``low`` bounds how far below zero ``dst`` may lie: its entries are in
         [-low, q), reduced when low is 0.  uint32 and uint64 wrap exactly,
         so they subtract and mask, as ``object`` subtracts and reduces, and
-        return 0.  int64 reduces only where exactness needs it.  Each
-        product is at most step = (q - 1)(top - 1), an int64 when it is
-        below 2^63, and is then subtracted unreduced; where it is not (the
-        ``wide`` tier with top near q) the product taken is :meth:`mul`'s,
-        at most q - 1.  Entries then lie in [-(low + step), q), so ``dst``
-        is reduced first when low + step would reach 2^63.  The solver
-        passes top = p^(m-v) for a pivot of valuation v, whose multipliers
-        are residues divided by p^v; past one reduction in a thousand
-        updates at q = 5^14 (v >= 1) or 3^16, one in six at 3^19.
+        return 0.  int64 reduces only where exactness needs it (FFLAS's
+        delayed reduction).  Each product is at most
+        step = (q - 1)(top - 1), an int64 when it is below 2^63, and is then
+        subtracted unreduced; where it is not (the ``wide`` tier with top
+        near q) the product taken is :meth:`mul`'s, at most q - 1.  Entries
+        then lie in [-(low + step), q), so ``dst`` is reduced first when
+        low + step would reach 2^63.  The solver passes top = p^(m-v) for a
+        pivot of valuation v, whose multipliers are residues divided by
+        p^v: a unit pivot at q = 3^19 fits six updates between reductions,
+        and a pivot of valuation 3 at 5^14 thirty.
         """
         if self.dtype is not np.int64:
             dst -= np.multiply(a, b, dtype=self.dtype)

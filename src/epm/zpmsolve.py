@@ -33,6 +33,19 @@ the unblocked elimination.
 The arithmetic runs on :class:`~epm.residues.Residues`, in the dtype the
 system's array already holds (uint32 for p = 2, m <= 32).  The pivot
 sequence, the results and the operation count are the same in every dtype.
+
+On int64 the exactness bounds come from the pivots' valuations, not from
+q alone (Storjohann & Mulders' valuation-aware elimination modulo N, with
+FFLAS's delayed reduction).  A pivot of valuation v has multipliers below
+p^(m-v), so its rank-1 update of the panel is subtracted unreduced, and
+the panel is reduced only before its bound would reach 2^63 (see
+:meth:`Residues.submul`).  Values are reduced where they are read: the
+pivot column before its pivot search, the pivot row's panel part when it
+is taken out, and the rhs before the consistency check.  The pivot row's
+catch-up and each row of the kernel back-substitution are one int64
+``@`` and one reduction while the summed bounds of the multipliers, or of
+the rows of x, keep the product below 2^63; otherwise they take
+:meth:`Residues.submatmul`.  A completion row is p^(m-v) (x mod p^v).
 """
 
 from __future__ import annotations
