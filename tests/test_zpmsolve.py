@@ -778,9 +778,8 @@ def test_deferred_panel_reductions_match_python_ints(p, m, shape):
 
 def test_unit_pivots_at_three_to_the_nineteen_reduce_mid_panel(monkeypatch):
     """Forces the mid-panel reduction: a unit pivot at q = 3^19 subtracts
-    products up to (q - 1)^2, about 1.35e18, so the panel's bound would
-    reach 2^63 at about every sixth update, and Residues.submul reduces the
-    panel block before that update."""
+    products up to (q - 1)^2, about 1.35e18, so six updates fit below 2^63
+    and Residues.submul reduces the panel block before every seventh."""
     params = PrimePower(3, 19)
     q = params.modulus
     calls = _record_submul(monkeypatch)
