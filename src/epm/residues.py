@@ -7,7 +7,8 @@ p = 2 and m <= 32, uint64 for p = 2 and m <= 64, int64 for moduli below
 ring, the systems and the solver all hold this one dtype.
 :meth:`~Residues.submatmul` runs the solver's products of more than one
 row, and :meth:`~Residues.matmul` large multi-row ones, on float64 BLAS
-GEMMs, exact by construction.
+GEMMs, exact by construction; a one-row product is one int64 ``@`` where
+the solver's valuation bound on it is below 2^63.
 """
 
 from __future__ import annotations
@@ -311,7 +312,9 @@ class Residues:
             if count * bits >= top:
                 return count, bits
 
-    def submatmul(self, dst: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    def submatmul(
+        self, dst: np.ndarray, a: np.ndarray, b: np.ndarray, bound: int | None = None
+    ) -> None:
         """dst -= a @ b mod q, in place, for reduced ``a`` (r x k), ``b``
         (k x w) and ``dst`` (r x w), on float64 GEMMs (on Python ints for
         ``object``).
@@ -321,12 +324,18 @@ class Residues:
         float64 entries, but never fewer than ``_GEMM_TERMS`` terms, so that
         the multipliers of one elimination panel make a single pass.  A
         one-row ``dst``, where the GEMMs lose, runs through :meth:`matmul`
-        and :meth:`sub`.
+        and :meth:`sub`.  ``bound``, when given, bounds every entry of
+        a @ b; the solver takes it from its pivots' valuations.  On int64
+        with bound < 2^63 a one-row product is then one int64 ``@``, exact,
+        and dst - a @ b stays above -2^63, so one reduction follows.
         """
-        if len(dst) == 1:
-            self.sub(dst, self.matmul(a, b))
-        else:
+        if len(dst) != 1:
             self._gemms(dst, a, b)
+        elif self.dtype is np.int64 and bound is not None and bound < 2**63:
+            dst -= a @ b
+            self.reduce(dst)
+        else:
+            self.sub(dst, self.matmul(a, b))
 
     def _gemms(self, dst, a, b, assign: bool = False) -> None:
         """dst -= a @ b mod q, in place, in the chunks of :meth:`submatmul`;

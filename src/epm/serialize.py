@@ -85,9 +85,6 @@ class TranscriptFile:
     def matrix(self, name: str) -> EpmMatrix:
         return self.block("matrix", name).payload
 
-    def poly(self, name: str) -> tuple[int, ...]:
-        return self.block("poly", name).payload
-
     def block(self, kind: str, name: str) -> Block:
         for b in self.blocks:
             if b.kind == kind and b.name == name:
@@ -122,10 +119,10 @@ def _int_fields(line: str, lineno: int, expect: int | None = None) -> list[int]:
     parts = line.split(" ")
     if any(p == "" for p in parts):
         raise ParseError("stray whitespace", lineno)
-    if not _INTS_RE.fullmatch(line):
-        raise ParseError(f"non-integer token in {line!r}", lineno)
     if not _CANONICAL_RE.fullmatch(line):
-        raise ParseError(f"sign or leading zero in {line!r}", lineno)
+        if _INTS_RE.fullmatch(line):
+            raise ParseError(f"sign or leading zero in {line!r}", lineno)
+        raise ParseError(f"non-integer token in {line!r}", lineno)
     values = [int(p) for p in parts]
     if expect is not None and len(values) != expect:
         raise ParseError(f"expected {expect} integers, got {len(values)}", lineno)

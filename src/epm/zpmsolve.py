@@ -42,10 +42,10 @@ the panel is reduced only before its bound would reach 2^63 (see
 :meth:`Residues.submul`).  Values are reduced where they are read: the
 pivot column before its pivot search, the pivot row's panel part when it
 is taken out, and the rhs before the consistency check.  The pivot row's
-catch-up and each row of the kernel back-substitution are one int64
-``@`` and one reduction while the summed bounds of the multipliers, or of
-the rows of x, keep the product below 2^63; otherwise they take
-:meth:`Residues.submatmul`.  A completion row is p^(m-v) (x mod p^v).
+catch-up and each row of the kernel back-substitution pass
+:meth:`Residues.submatmul` the summed bounds of the multipliers, or of the
+rows of x, and it takes one int64 ``@`` and one reduction while that
+bound is below 2^63.  A completion row is p^(m-v) (x mod p^v).
 """
 
 from __future__ import annotations
@@ -336,7 +336,7 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
                 # Multiplier t' is below p^(m-v_t'), so their products with
                 # residues sum to at most spread (q - 1).
                 done = prows[first : first + t, c1:]
-                _submatrow(res, prow[None, c1:], mults[None, :t, r], done, spread * (q - 1))
+                res.submatmul(prow[None, c1:], mults[None, :t, r], done, spread * (q - 1))
                 mults[:t, r] = 0
             pv = p**v
             unit = int(prow[col]) // pv
@@ -354,11 +354,9 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
             pivots.append((col, v))
             if v > 0:
                 counter.add(c + 1 - col)
-                if res.dtype is np.int64:
-                    # p^(m-v) x mod p^m = p^(m-v) (x mod p^v), below q.
-                    comp = prow[col:] % pv * top
-                else:
-                    comp = res.mul(prow[col:], top)
+                # p^(m-v) x mod p^m = p^(m-v) (x mod p^v), below q: exact in
+                # every dtype, as p^v and p^(m-v) fit it.
+                comp = prow[col:] % pv * top
                 cand[col:, r] = comp
                 n += bool(comp[1:].any())
                 del comp  # not held into the next pivot's temporaries
@@ -431,7 +429,7 @@ def howell_solve(
             counter.add(c - col - 1)
             span += below - col - 1
             d = rest[k - k0 : k - k0 + 1]
-            _submatrow(res, d, prows[k : k + 1, col + 1 : hi], x[col + 1 : hi], span * (q - 1))
+            res.submatmul(d, prows[k : k + 1, col + 1 : hi], x[col + 1 : hi], span * (q - 1))
             if v > 0:
                 if (d % p**v).any():
                     # Completion rows guarantee this never fires on kernel columns.
@@ -448,19 +446,6 @@ def howell_solve(
     counter.add(width * len(seeds) - torsion)
 
     return SolutionSet(params, x)
-
-
-def _submatrow(res: Residues, dst, a, b, bound: int) -> None:
-    """dst -= a @ b mod q, in place, for one reduced row ``dst`` (1 x w),
-    ``a`` (1 x k) and ``b`` (k x w), where no entry of a @ b exceeds
-    ``bound``.  On int64 with bound < 2^63 that is one int64 ``@``, exact,
-    and dst - a @ b stays above -2^63, so one reduction follows; otherwise
-    it is :meth:`Residues.submatmul`'s one-row product."""
-    if res.dtype is np.int64 and bound < 2**63:
-        dst -= a @ b
-        res.reduce(dst)
-    else:
-        res.submatmul(dst, a, b)
 
 
 def _solve_column(prows, pivots, k0, k1, rest, x, counter, params) -> None:

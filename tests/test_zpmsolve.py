@@ -668,8 +668,10 @@ def test_submatmul_matches_python_ints(p, m):
     # limb one bit wider, or one GEMM past the bound, rounds a float64 sum.
     # (2, 20) and (3, 16) switch from one GEMM to limbs at k = 8193 and 5;
     # (2, 32) is the widest modulus of the uint32 tier.
-    # A one-row dst, at k = 0, 1, 64 and k_max, runs through matmul.
-    # The last shape spans several row and contraction chunks.
+    # A one-row dst, at k = 0, 1, 64 and k_max, runs through matmul, and
+    # again with a bound, the largest entry of a @ b: on int64 one @ where
+    # that is below 2^63.  The last shape spans several row and contraction
+    # chunks.
     _check_submatmul(Residues.of(PrimePower(p, m)))
 
 
@@ -696,12 +698,13 @@ def _check_submatmul(res):
     for a, b in cases:
         rows, k, cols = len(a), len(b), len(b[0]) if b else 1
         dst = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
-        want = (np.array(dst, object) - np.array(a, object).reshape(rows, k)
-                @ np.array(b, object).reshape(k, cols)) % q
-        got = np.array(dst, res.dtype)
-        res.submatmul(got, np.array(a, res.dtype).reshape(rows, k),
-                      np.array(b, res.dtype).reshape(k, cols))
-        assert got.tolist() == want.tolist(), (rows, k, cols, res.limbs(k))
+        product = np.array(a, object).reshape(rows, k) @ np.array(b, object).reshape(k, cols)
+        want = (np.array(dst, object) - product) % q
+        for bound in [None] + ([max(product.flat)] if rows == 1 else []):
+            got = np.array(dst, res.dtype)
+            res.submatmul(got, np.array(a, res.dtype).reshape(rows, k),
+                          np.array(b, res.dtype).reshape(k, cols), bound)
+            assert got.tolist() == want.tolist(), (rows, k, cols, res.limbs(k), bound)
 
 
 # --- valuation-bounded int64 products ------------------------------------------
@@ -817,14 +820,15 @@ def test_bounded_back_substitution_matches_python_ints(p, m, monkeypatch):
     # small v even without a unit pivot.  x must match Python ints.
     params = PrimePower(p, m)
     q = params.modulus
-    bounds, submatrow = [], zpmsolve._submatrow
+    bounds, submatmul = [], Residues.submatmul
 
-    def record(res, dst, a, b, bound):
-        if res.dtype is np.int64 and sys._getframe(1).f_code.co_name == "howell_solve":
+    def record(res, dst, a, b, bound=None):
+        caller = sys._getframe(1).f_code.co_name
+        if res.dtype is np.int64 and bound is not None and caller == "howell_solve":
             bounds.append(bound)
-        submatrow(res, dst, a, b, bound)
+        submatmul(res, dst, a, b, bound)
 
-    monkeypatch.setattr(zpmsolve, "_submatrow", record)
+    monkeypatch.setattr(Residues, "submatmul", record)
     for shape in ("unit", "torsion"):
         bounds.clear()
         # Fewer rows than columns leave free columns, so x has kernel columns.
