@@ -45,7 +45,8 @@ is taken out, and the rhs before the consistency check.  The pivot row's
 catch-up and each row of the kernel back-substitution pass
 :meth:`Residues.submatmul` the summed bounds of the multipliers, or of the
 rows of x, and it takes one int64 ``@`` and one reduction while that
-bound is below 2^63.  A completion row is p^(m-v) (x mod p^v).
+bound is below 2^63.  In every dtype a completion row is
+p^(m-v) (x mod p^v), one reduction and one product below q.
 """
 
 from __future__ import annotations
