@@ -62,14 +62,11 @@ class Residues:
     * ``object`` arrays of Python integers otherwise, or with
       ``backend="python"``.
 
-    :meth:`mul` returns reduced residues on every tier, and :meth:`sub`
-    updates reduced residues in place: on int64 a difference of residues
-    lies in (-q, q), so adding q where the sign bit is set reduces it,
-    again without a division.  :meth:`submul` takes a bound on its
-    multipliers, p^(m-v) for the solver's pivot of valuation v, and on
-    int64 leaves its result unreduced, in [-low, q) for the ``low`` it
-    returns, while low stays below 2^63; its caller reduces an entry before
-    reading it.
+    :meth:`mul` returns reduced residues on every tier.  :meth:`submul`
+    takes a bound on its multipliers, p^(m-v) for the solver's pivot of
+    valuation v, and on every tier leaves its result unreduced, in
+    [-low, q) for the ``low`` it returns; its caller reduces an entry
+    before reading it.  Only int64 ends that range, below 2^63.
 
     :meth:`submatmul`, dst -= a @ b, runs on float64 GEMMs for every
     machine-integer dtype.  Entries are integers in [0, q).  When
@@ -93,8 +90,8 @@ class Residues:
     (34 us against 32 us, 175 us against 168 us), the GEMMs win from two
     rows, and by 12x and 26x at 64 rows.  At q = 2^32 (two limbs, three
     GEMMs) they lose up to about eight rows, 128 us against 32 us at one
-    row.  So a one-row ``dst`` runs through :meth:`matmul` and :meth:`sub`
-    instead.
+    row.  So a one-row ``dst`` subtracts one :meth:`matmul` product
+    instead, and is reduced once.
 
     :meth:`matmul` runs large products with k <= :attr:`k_max` through
     the same one-GEMM code.
@@ -168,49 +165,40 @@ class Residues:
         r += fix
         return r
 
-    def sub(self, dst: np.ndarray, b) -> None:
-        """dst -= b mod q, in place, for reduced ``dst`` and ``b``.  On int64
-        the difference lies in (-q, q), and q is added where it is negative,
-        without a division."""
-        dst -= b
-        if self.dtype is np.int64:
-            fix = dst >> 63
-            fix &= self.params.modulus
-            dst += fix
-        else:
-            self.reduce(dst)
+    @cached_property
+    def _exact_below(self) -> float:
+        """Where unreduced values stop being exact: 2^63 on int64; nowhere
+        on uint32 and uint64, whose wraparound mod 2^32 or 2^64 is exact
+        mod 2^m, or on ``object``."""
+        return 2**63 if self.dtype is np.int64 else math.inf
 
     def submul(self, dst: np.ndarray, a, b, top: int, low: int = 0) -> int:
         """dst -= a * b mod q, in place, broadcast to the shape of ``dst``,
         for reduced ``a`` and 0 <= b < top; returns ``low`` for the result.
 
-        ``low`` bounds how far below zero ``dst`` may lie: its entries are in
-        [-low, q), reduced when low is 0.  uint32 and uint64 wrap exactly,
-        so they subtract and mask, as ``object`` subtracts and reduces, and
-        return 0.  int64 reduces only where exactness needs it (FFLAS's
-        delayed reduction).  Each product is at most
-        step = (q - 1)(top - 1), an int64 when it is below 2^63, and is then
-        subtracted unreduced; where it is not (the ``wide`` tier with top
-        near q) the product taken is :meth:`mul`'s, at most q - 1.  Entries
-        then lie in [-(low + step), q), so ``dst`` is reduced first when
-        low + step would reach 2^63.  The solver passes top = p^(m-v) for a
-        pivot of valuation v, whose multipliers are residues divided by
-        p^v: a unit pivot at q = 3^19 fits six updates between reductions,
-        and a pivot of valuation 3 at 5^14 thirty.
+        ``low`` bounds how far below zero ``dst`` may lie: its entries are
+        in [-low, q), held mod 2^32 or 2^64 on uint32 and uint64, and
+        reduced when low is 0; the caller reduces an entry before reading
+        it (FFLAS's delayed reduction).  Each product is at most
+        step = (q - 1)(top - 1) and is subtracted unreduced while that is
+        exact; where it is not (the ``wide`` tier with top near q) the
+        product taken is :meth:`mul`'s, at most q - 1.  Entries then lie in
+        [-(low + step), q), so ``dst`` is reduced first when low + step
+        would leave the exact range.  Only int64's ends, at 2^63: the
+        solver passes top = p^(m-v) for a pivot of valuation v, whose
+        multipliers are residues divided by p^v, so a unit pivot at
+        q = 3^19 fits six updates between reductions, and a pivot of
+        valuation 3 at 5^14 thirty.
         """
-        if self.dtype is not np.int64:
-            dst -= np.multiply(a, b, dtype=self.dtype)
-            self.reduce(dst)
-            return 0
         q = self.params.modulus
         step = (q - 1) * (top - 1)
         product = None
-        if step >= 2**63:
+        if step >= self._exact_below:
             product, step = self.mul(a, b), q - 1
-        if low + step >= 2**63:
+        if low + step >= self._exact_below:
             self.reduce(dst)
             low = 0
-        dst -= np.multiply(a, b) if product is None else product
+        dst -= np.multiply(a, b, dtype=self.dtype) if product is None else product
         return low + step
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -323,19 +311,21 @@ class Residues:
         contraction over which ``b`` converts to at most ``_GEMM_ENTRIES``
         float64 entries, but never fewer than ``_GEMM_TERMS`` terms, so that
         the multipliers of one elimination panel make a single pass.  A
-        one-row ``dst``, where the GEMMs lose, runs through :meth:`matmul`
-        and :meth:`sub`.  ``bound``, when given, bounds every entry of
-        a @ b; the solver takes it from its pivots' valuations.  On int64
-        with bound < 2^63 a one-row product is then one int64 ``@``, exact,
-        and dst - a @ b stays above -2^63, so one reduction follows.
+        one-row ``dst``, where the GEMMs lose, subtracts one product and is
+        reduced once, in every dtype: dst - a @ b is exact mod q on uint32
+        and uint64 (wraparound), on ``object``, and on int64 while it stays
+        above -2^63.  That product is :meth:`matmul`'s, below q, or, where
+        ``bound`` bounds every entry of a @ b below 2^63 on int64, one
+        int64 ``@``; the solver takes ``bound`` from its pivots' valuations.
         """
         if len(dst) != 1:
             self._gemms(dst, a, b)
-        elif self.dtype is np.int64 and bound is not None and bound < 2**63:
+            return
+        if self.dtype is np.int64 and bound is not None and bound < 2**63:
             dst -= a @ b
-            self.reduce(dst)
         else:
-            self.sub(dst, self.matmul(a, b))
+            dst -= self.matmul(a, b)
+        self.reduce(dst)
 
     def _gemms(self, dst, a, b, assign: bool = False) -> None:
         """dst -= a @ b mod q, in place, in the chunks of :meth:`submatmul`;

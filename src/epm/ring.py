@@ -130,7 +130,9 @@ class EpmMatrix:
     def __sub__(self, other):
         if not isinstance(other, EpmMatrix):
             return NotImplemented
-        return self + (-other)
+        _same_params(self, other)
+        res = Residues.of(self.params)
+        return from_array(res, as_array(res, self) - as_array(res, other))
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -123,7 +123,11 @@ def _int_fields(line: str, lineno: int, expect: int | None = None) -> list[int]:
         if _INTS_RE.fullmatch(line):
             raise ParseError(f"sign or leading zero in {line!r}", lineno)
         raise ParseError(f"non-integer token in {line!r}", lineno)
-    values = [int(p) for p in parts]
+    try:
+        values = [int(p) for p in parts]
+    except ValueError:  # past the interpreter's limit on digits
+        digits = max(map(len, parts))
+        raise ParseError(f"integer of {digits} digits is too long", lineno) from None
     if expect is not None and len(values) != expect:
         raise ParseError(f"expected {expect} integers, got {len(values)}", lineno)
     return values
@@ -146,7 +150,8 @@ def parse_transcript(text: str) -> TranscriptFile:
     try:
         params = PrimePower(header["p"], header["m"])
     except ValueError as exc:
-        raise ParseError(str(exc), 3) from None
+        # The p line is line 2 and the m line line 3.
+        raise ParseError(str(exc), 3 if str(exc).startswith("m ") else 2) from None
 
     blocks: list[Block] = []
     seen: set[str] = set()

@@ -34,19 +34,21 @@ The arithmetic runs on :class:`~epm.residues.Residues`, in the dtype the
 system's array already holds (uint32 for p = 2, m <= 32).  The pivot
 sequence, the results and the operation count are the same in every dtype.
 
-On int64 the exactness bounds come from the pivots' valuations, not from
-q alone (Storjohann & Mulders' valuation-aware elimination modulo N, with
-FFLAS's delayed reduction).  A pivot of valuation v has multipliers below
-p^(m-v), so its rank-1 update of the panel is subtracted unreduced, and
-the panel is reduced only before its bound would reach 2^63 (see
-:meth:`Residues.submul`).  Values are reduced where they are read: the
-pivot column before its pivot search, the pivot row's panel part when it
-is taken out, and the rhs before the consistency check.  The pivot row's
-catch-up and each row of the kernel back-substitution pass
-:meth:`Residues.submatmul` the summed bounds of the multipliers, or of the
-rows of x, and it takes one int64 ``@`` and one reduction while that
-bound is below 2^63.  In every dtype a completion row is
-p^(m-v) (x mod p^v), one reduction and one product below q.
+In every dtype the rank-1 updates of a panel are subtracted unreduced
+(FFLAS's delayed reduction), and values are reduced where they are read:
+the pivot column before its pivot search, the pivot row's panel part when
+it is taken out, and the rhs before the consistency check.  uint32 and
+uint64 wrap exactly mod 2^m and Python ints do not overflow, so only int64
+bounds the deferral.  There the bounds come from the pivots' valuations,
+not from q alone (Storjohann & Mulders' valuation-aware elimination modulo
+N): a pivot of valuation v has multipliers below p^(m-v), and the panel is
+reduced only before its bound would reach 2^63 (see
+:meth:`Residues.submul`).  The pivot row's catch-up and each row of the
+kernel back-substitution pass :meth:`Residues.submatmul` the summed
+bounds of the multipliers, or of the rows of x, and on int64 it takes one
+``@`` and one reduction while that bound is below 2^63.  In every dtype a
+completion row is p^(m-v) (x mod p^v), one reduction and one product
+below q.
 """
 
 from __future__ import annotations
@@ -312,8 +314,8 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
         # The last panel carries the rhs and leaves no trailing columns.
         c1 = c0 + PANEL if c0 + PANEL < c else c + 1
         trailing, first = c1 <= c, len(pivots)
-        # cand[c0:c1] lies in [-low, q): Residues.submul reduces int64 panels
-        # only when it must, so each read of them below reduces first.
+        # cand[c0:c1] lies in [-low, q): Residues.submul leaves every dtype's
+        # panel unreduced, so each read of it below reduces first.
         # spread: the sum of p^(m-v) - 1 over the panel's pivots so far.
         low = spread = 0
         for col in range(c0, min(c1, c)):

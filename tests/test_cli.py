@@ -225,6 +225,26 @@ def test_exit_2_on_non_canonical_entries(workdir, capsys, command, text, line):
     assert not (workdir / "x.epm").exists()
 
 
+@pytest.mark.parametrize(
+    "header,text,line",
+    [
+        ("p 5\nm 2", "matrix M\n1 0\n" + "1" * 5000 + " 1", 6),
+        ("p 5\nm " + "1" * 5000, "matrix M\n1 0\n0 1", 3),
+        ("p 4\nm 2", "matrix M\n1 0\n0 1", 2),
+        ("p 5\nm 0", "matrix M\n1 0\n0 1", 3),
+    ],
+    ids=["long-entry", "long-m", "composite-p", "zero-m"],
+)
+def test_exit_2_names_the_line_of_a_bad_value(workdir, capsys, header, text, line):
+    # An integer past the interpreter's digit limit and a p or m that
+    # PrimePower refuses are reported on the line they sit on.
+    bad = workdir / "bad.epm"
+    bad.write_text(f"EPM/1\n{header}\n{text}\n")
+    assert run(["attack", "--transcript", bad, "--out", workdir / "x.epm"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+    assert not (workdir / "x.epm").exists()
+
+
 def test_simulate_refuses_a_commuting_pair_before_any_work(workdir, monkeypatch, capsys):
     import epm.cli as cli_mod
 

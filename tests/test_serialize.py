@@ -103,7 +103,7 @@ def test_bad_p_line():
 
 
 def test_nonprime_p_rejected():
-    _expect_error("EPM/1\np 6\nm 2\n", lineno=3, fragment="prime")
+    _expect_error("EPM/1\np 6\nm 2\n", lineno=2, fragment="prime")
 
 
 def test_membership_violation_reported():

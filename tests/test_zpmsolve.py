@@ -393,9 +393,12 @@ def _special_residues(params):
 
 @pytest.mark.parametrize("p,m", ARITH_MODULI)
 def test_mul_sub_and_submul_match_python_ints(p, m):
-    # mul returns reduced residues on every tier, and sub and submul update
-    # in place; the operands are the special residues against each other and
-    # random residues, broadcast as the solver's rank-1 update is.
+    # mul returns reduced residues on every tier.  submul defers the
+    # reduction on every tier: it subtracts the products unreduced (the
+    # wide tier, where (q - 1)^2 reaches 2^63, subtracts mul's) and returns
+    # a nonzero bound, and one reduction then gives Python ints' values.
+    # The operands are the special residues against each other and random
+    # residues, broadcast as the solver's rank-1 update is.
     params = PrimePower(p, m)
     q, special = params.modulus, _special_residues(params)
     rng = random.Random(q)
@@ -409,14 +412,58 @@ def test_mul_sub_and_submul_match_python_ints(p, m):
     assert res.mul(b, q - 1).tolist() == [y * (q - 1) % q for y in row]
     dst = np.array(start, res.dtype)
     low = res.submul(dst, a, b, q)
-    if low:  # int64 defers the reduction: dst lies in [-low, q), low < 2^63
-        assert res.dtype is np.int64 and low < 2**63 and dst.min() >= -low
-        res.reduce(dst)
+    whole = res.dtype is not np.int64 or (q - 1) ** 2 < 2**63
+    assert low == ((q - 1) ** 2 if whole else q - 1) > 0
+    # uint32 and uint64 hold the difference mod 2^32 or 2^64; int64 and
+    # object hold it exactly, in [-low, q).
+    word = {np.uint32: 2**32, np.uint64: 2**64}.get(res.dtype)
+    taken = [[x * y if whole else x * y % q for y in row] for x in column]
+    unreduced = [[d - t if word is None else (d - t) % word for d, t in zip(*pair)]
+                 for pair in zip(start, taken)]
+    assert dst.tolist() == unreduced
+    res.reduce(dst)
     assert dst.tolist() == [[(d - x) % q for d, x in zip(*pair)]
                             for pair in zip(start, products)]
-    res.sub(dst, b)
-    assert dst.tolist() == [[(d - x - y) % q for d, x, y in zip(*pair, row)]
-                            for pair in zip(start, products)]
+
+
+@pytest.mark.parametrize("p,m", [(2, 32), (2, 64), (5, 22)])
+def test_unbounded_tiers_defer_a_whole_panel(p, m, monkeypatch):
+    # uint32, uint64 and object need no mid-panel reduction: 64 rank-1
+    # updates, multipliers as large as a unit pivot's, go through one
+    # panel unreduced, and one reduction gives Python ints' values.  A
+    # 72-column solve, whose first panel takes 64 unit pivots the same way,
+    # is checked against the system in Python ints.
+    params = PrimePower(p, m)
+    q = params.modulus
+    res = Residues.of(params)
+    assert res.dtype == {32: np.uint32, 64: np.uint64}.get(m, object)
+    rng = random.Random(q)
+    panel = [[rng.randrange(q) for _ in range(40)] for _ in range(8)]
+    dst, low = np.array(panel, res.dtype), 0
+    for _ in range(64):
+        column = [rng.choice([q - 1, rng.randrange(q)]) for _ in panel]
+        row = [rng.choice([q - 1, rng.randrange(q)]) for _ in panel[0]]
+        a, b = np.array(column, res.dtype)[:, None], np.array(row, res.dtype)
+        low, before = res.submul(dst, a, b, q, low), low
+        assert low == before + (q - 1) ** 2
+        panel = [[d - x * y for d, y in zip(line, row)] for line, x in zip(panel, column)]
+    res.reduce(dst)
+    assert dst.tolist() == [[d % q for d in line] for line in panel]
+
+    calls, submul = [], Residues.submul
+
+    def record(res, dst, a, b, top, low=0):
+        calls.append(low)
+        return submul(res, dst, a, b, top, low)
+
+    monkeypatch.setattr(Residues, "submul", record)
+    system = _shaped_system(9, params, "unit")
+    sol = howell_solve(system)
+    assert calls[:65].count(0) == 2 and calls[64] == 0  # one run of 64 updates
+    assert is_solution(system, sol.particular)
+    coeffs = [[int(e) for e in line] for line in system.coeffs]
+    for gen in sol.kernel:
+        assert all(sum(e * g for e, g in zip(line, gen)) % q == 0 for line in coeffs)
 
 
 def _left_limb_switches(res, k_max):
