@@ -444,8 +444,8 @@ def test_unbounded_tiers_defer_a_whole_panel(p, m, monkeypatch):
         column = [rng.choice([q - 1, rng.randrange(q)]) for _ in panel]
         row = [rng.choice([q - 1, rng.randrange(q)]) for _ in panel[0]]
         a, b = np.array(column, res.dtype)[:, None], np.array(row, res.dtype)
-        low, before = res.submul(dst, a, b, q, low), low
-        assert low == before + (q - 1) ** 2
+        before, low = low, res.submul(dst, a, b, q, low)
+        assert low == before + (q - 1) ** 2  # never reduced mid-panel
         panel = [[d - x * y for d, y in zip(line, row)] for line, x in zip(panel, column)]
     res.reduce(dst)
     assert dst.tolist() == [[d % q for d in line] for line in panel]
