@@ -888,7 +888,7 @@ def test_bounded_back_substitution_matches_python_ints(p, m, monkeypatch):
             assert any((q - 1) * (2 * p ** (m - v) - 1) >= 2**63 for _, v in pivots)
 
 
-@pytest.mark.parametrize("p,m", [(2, 20), (3, 16), (5, 14), (5, 21)])
+@pytest.mark.parametrize("p,m", [(2, 20), (3, 16), (5, 14), (5, 21), (3, 20), (2, 32)])
 def test_session_solves_stay_inside_the_memory_budget(p, m):
     # Each solve holds the candidates, the pivot rows and x, each at most as
     # large as the system array; every other temporary must fit in 1 MiB.
@@ -1117,6 +1117,17 @@ SOLVE_PINS = {
     (3, 26): (
         ("c3f21a6cf391cc17022eb4c4a146e668451e9de11fdc8d3b4f9cea6deee31f14", 288938376),
         ("cba96f65ede176e67b4b9abd86e5c0a760a8b5f00fc1fc17bcee76bd7e45ba19", 127853359),
+    ),
+    # The widest uint32 modulus and the wide tier's end for p = 3, whose
+    # multi-row GEMMs took three 16-bit-limb GEMMs and q-sized limbs;
+    # recorded before the valuation bounds picked their kernel.
+    (2, 32): (
+        ("bb4d66a01e512ea31b571f16f73364546f578965403fac2e1a347fbe868b0e08", 1030184840),
+        ("057d2d8dd7b29f192d8196a9109242eecdd2c3006d600d5acc13f893cba24059", 337671465),
+    ),
+    (3, 31): (
+        ("de067b616c14e60f5eb339d43d6546fdaf0b363c9b9ed598c0290d5c745c2ca2", 814883230),
+        ("daae1d5c71d513affac4e67bcaba97ddf3a457a7123d21ea287c137451d75e88", 356078450),
     ),
 }
 
