@@ -7,8 +7,9 @@ p = 2 and m <= 32, uint64 for p = 2 and m <= 64, int64 for moduli below
 ring, the systems and the solver all hold this one dtype.
 :meth:`~Residues.submatmul` runs the solver's products of more than one
 row, and :meth:`~Residues.matmul` large multi-row ones, on float64 BLAS
-GEMMs, exact by construction; a one-row product is one int64 ``@`` where
-the solver's valuation bound on it is below 2^63.
+GEMMs, exact by construction; the solver's valuation bound on a product
+makes a one-row one one int64 ``@`` below 2^63, and a multi-row one one
+GEMM below 2^53.
 """
 
 from __future__ import annotations
@@ -69,10 +70,13 @@ class Residues:
     before reading it.  Only int64 ends that range, below 2^63.
 
     :meth:`submatmul`, dst -= a @ b, runs on float64 GEMMs for every
-    machine-integer dtype.  Entries are integers in [0, q).  When
-    k (q-1)^2 < 2^53 for the contraction length k, every product and every
-    partial sum is an integer below 2^53, so the GEMM is exact in any
-    summation order.
+    machine-integer dtype.  Entries are integers in [0, q).  When a bound
+    below 2^53 holds for every entry of a @ b, k (q-1)^2 for the
+    contraction length k or a tighter one from the caller, every term and
+    every partial sum, all nonnegative, is an integer at most that bound,
+    so one GEMM is exact in any summation order.  A factor past 2^53
+    (uint64 past m = 53) rounds when converted, but its partners are 0, as
+    a nonzero one would put the term past the bound, and the term stays 0.
     Otherwise each operand splits into ``count`` limbs of ``bits`` bits,
     a = sum_i a_i 2^(bits i) with 0 <= a_i < 2^bits, and :meth:`limbs`
     takes the fewest limbs of the widest width with
@@ -286,12 +290,14 @@ class Residues:
             self.reduce(out)
         return out
 
-    def limbs(self, k: int) -> tuple[int, int]:
+    def limbs(self, k: int, bound: int | None = None) -> tuple[int, int]:
         """(count, bits) of the limbs :meth:`submatmul` splits each operand
         into for a contraction of length k: (1, 0), no split, when one
-        float64 GEMM is exact or the dtype is ``object``, else the fewest
-        limbs of the widest width that the exactness bound admits."""
-        if self.dtype is object or k <= self.k_max:
+        float64 GEMM is exact, as k <= :attr:`k_max` or the caller's
+        ``bound`` on the product's entries is below 2^53, or the dtype is
+        ``object``; else the fewest limbs of the widest width that the
+        exactness bound admits."""
+        if self.dtype is object or k <= self.k_max or bound is not None and bound < 2**53:
             return 1, 0
         top, bits = (self.params.modulus - 1).bit_length(), 26
         for count in itertools.count(2):
@@ -316,10 +322,12 @@ class Residues:
         and uint64 (wraparound), on ``object``, and on int64 while it stays
         above -2^63.  That product is :meth:`matmul`'s, below q, or, where
         ``bound`` bounds every entry of a @ b below 2^63 on int64, one
-        int64 ``@``; the solver takes ``bound`` from its pivots' valuations.
+        int64 ``@``.  With more rows, a ``bound`` below 2^53 takes one GEMM
+        (:meth:`limbs`).  The solver takes ``bound`` from its pivots'
+        valuations.
         """
         if len(dst) != 1:
-            self._gemms(dst, a, b)
+            self._gemms(dst, a, b, bound)
             return
         if self.dtype is np.int64 and bound is not None and bound < 2**63:
             dst -= a @ b
@@ -327,7 +335,7 @@ class Residues:
             dst -= self.matmul(a, b)
         self.reduce(dst)
 
-    def _gemms(self, dst, a, b, assign: bool = False) -> None:
+    def _gemms(self, dst, a, b, bound=None, assign: bool = False) -> None:
         """dst -= a @ b mod q, in place, in the chunks of :meth:`submatmul`;
         with ``assign``, dst = a @ b mod q, whatever dst held.  The first
         chunk is written, not added onto ``np.zeros``: a fresh calloc'ed
@@ -336,7 +344,7 @@ class Residues:
         k, w = a.shape[1], b.shape[1]
         step = max(_GEMM_TERMS, _GEMM_ENTRIES // max(w, 1))
         for s in range(0, k, step):
-            count, bits = self.limbs(min(step, k - s))
+            count, bits = self.limbs(min(step, k - s), bound)
             right = _split(b[s : s + step], count, bits)
             for i in range(0, len(dst), _GEMM_ROWS):
                 left = _split(a[i : i + _GEMM_ROWS, s : s + step], count, bits)

@@ -30,6 +30,15 @@ Python ints, each solved entry subtracted at once from the block's earlier
 rows.  The pivot sequence, the results and the operation count are those of
 the unblocked elimination.
 
+Back-substitution skips the torsion generators that are their seed alone.
+Take the one seeded p^(m-v) at the column col of a pivot of valuation v.
+Pivot rows are zero left of their pivot, so the generator's own row and
+every later one read only its zeros past col.  If every pivot row is
+0 mod p^v at col, each earlier row's term prows[k, col] p^(m-v) is
+0 mod q: from the last row up each meets the residue 0, and the generator
+stays its seed.  Otherwise the last earlier row that is not meets a
+nonzero residue, and the generator is nonzero there: the test is exact.
+
 The arithmetic runs on :class:`~epm.residues.Residues`, in the dtype the
 system's array already holds (uint32 for p = 2, m <= 32).  The pivot
 sequence, the results and the operation count are the same in every dtype.
@@ -46,13 +55,17 @@ reduced only before its bound would reach 2^63 (see
 :meth:`Residues.submul`).  The pivot row's catch-up and each row of the
 kernel back-substitution pass :meth:`Residues.submatmul` the summed
 bounds of the multipliers, or of the rows of x, and on int64 it takes one
-``@`` and one reduction while that bound is below 2^63.  In every dtype a
-completion row is p^(m-v) (x mod p^v), one reduction and one product
-below q.
+``@`` and one reduction while that bound is below 2^63.  The trailing-panel
+and block-start products pass spread (q - 1), spread summing p^(m-v) - 1
+over the panel's pivots, and (q - 1) times the summed bounds of the rows
+of x they read; there it takes one float64 GEMM below 2^53.  In every
+dtype a completion row is p^(m-v) (x mod p^v), one reduction and one
+product below q.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -365,7 +378,7 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
                 del comp  # not held into the next pivot's temporaries
         if trailing and len(pivots) > first:
             t = len(pivots) - first
-            res.submatmul(cand[c1:], prows[first : first + t, c1:].T, mults[:t])
+            res.submatmul(cand[c1:], prows[first : first + t, c1:].T, mults[:t], spread * (q - 1))
 
     # Leftover candidates have zero coefficients: every column was either
     # pivoted (entry eliminated exactly) or skipped (entries already zero).
@@ -403,50 +416,67 @@ def howell_solve(
     # One back-substitution for a block of x: column 0 is the particular
     # solution, the others are kernel generators seeded with 1 at each free
     # column, then with p^(m-v) at each torsion pivot.
-    seeds = []
+    pw = [p**v for v in range(m + 1)]
+    seeds, torsion = [], []
     if with_kernel:
         pivot_cols = {col for col, _ in pivots}
+        torsion = [(col, v) for col, v in pivots if v > 0]
         seeds = [(f, 1) for f in range(c) if f not in pivot_cols]
-        seeds += [(col, p ** (m - v)) for col, v in pivots if v > 0]
+        seeds += [(col, pw[m - v]) for col, v in torsion]
     x = np.zeros((c, 1 + len(seeds)), res.dtype)
     for j, (col, value) in enumerate(seeds, start=1):
         x[col, j] = value
+    # Rows of x are at most 1 at a free column and below 2 p^(m-v) at a
+    # pivot of valuation v: the seed p^(m-v) plus a residue divided by p^v.
+    # after[j] sums those bounds over x[j:], so a row of prows times
+    # x[j:hi] is at most (after[j] - after[hi]) (q - 1).
+    divs, bounds = [1] * c, [1] * c
+    for col, v in pivots:
+        divs[col], bounds[col] = pw[v], 2 * pw[m - v] - 1
+    after = list(itertools.accumulate(reversed(bounds), initial=0))[::-1]
+    # Only the particular column, the free generators and the live torsion
+    # generators are back-substituted, as the block xs of x: a torsion
+    # generator whose column is 0 mod p^v in every pivot row is its seed
+    # (see the module docstring).  Pivot rows are zero left of their pivot,
+    # so a chunk of columns reads only the rows of the pivots left of its end.
+    live = [True] * (x.shape[1] - len(torsion))
+    if torsion:
+        flags = []
+        for c0 in range(0, c, PANEL):
+            c1 = min(c0 + PANEL, c)
+            rows = prows[: bisect.bisect_left(pivots, (c1,)), c0:c1]
+            flags += res.rem(rows.T, tuple(divs[c0:c1])).any(axis=1).tolist()
+        live += [flags[col] for col, _ in torsion]
+    xs = x[:, live]
     # Blocks of PANEL pivots, last block first.  The rows of x solved by later
     # blocks enter as one product; inside a block the rows are solved in turn.
     for k0 in reversed(range(0, len(pivots), PANEL)):
         k1 = min(k0 + PANEL, len(pivots))
         hi = pivots[k1][0] if k1 < len(pivots) else c
-        rest = np.zeros((k1 - k0, x.shape[1]), x.dtype)
+        rest = np.zeros((k1 - k0, xs.shape[1]), xs.dtype)
         rest[:, 0] = prows[k0:k1, c]
-        res.submatmul(rest, prows[k0:k1, hi:c], x[hi:c])
-        if x.shape[1] == 1:
-            _solve_column(prows, pivots, k0, k1, rest, x, counter, params)
+        res.submatmul(rest, prows[k0:k1, hi:c], xs[hi:c], after[hi] * (q - 1))
+        if xs.shape[1] == 1:
+            _solve_column(prows, pivots, k0, k1, rest, xs, counter, params)
             continue
-        # Rows of x are at most 1 at a free column and below 2 p^(m-v) at a
-        # pivot of valuation v: the seed p^(m-v) plus a residue divided by
-        # p^v.  span sums those bounds over x[col + 1 : hi], so each row's
-        # product with the residues of prows is at most span (q - 1).
-        span, below = 0, hi
         for k in reversed(range(k0, k1)):
             col, v = pivots[k]
             counter.add(c - col - 1)
-            span += below - col - 1
             d = rest[k - k0 : k - k0 + 1]
-            res.submatmul(d, prows[k : k + 1, col + 1 : hi], x[col + 1 : hi], span * (q - 1))
+            span = after[col + 1] - after[hi]
+            res.submatmul(d, prows[k : k + 1, col + 1 : hi], xs[col + 1 : hi], span * (q - 1))
             if v > 0:
                 if (d % p**v).any():
                     # Completion rows guarantee this never fires on kernel columns.
                     raise InconsistentSystem(f"no preimage for pivot column {col}", col)
                 d //= p**v
-            x[col] += d[0]
-            span += 2 * p ** (m - v) - 1
-            below = col
+            xs[col] += d[0]
+    x[:, live] = xs
     # The generators' share, charged as separate passes would be.  A torsion
     # generator skips its own pivot row: it is zero past its seed column, so
     # that row leaves the seed as it is.
     width = sum(c - col - 1 for col, _ in pivots)
-    torsion = sum(c - col - 1 for col, value in seeds if value != 1)
-    counter.add(width * len(seeds) - torsion)
+    counter.add(width * len(seeds) - sum(c - col - 1 for col, _ in torsion))
 
     return SolutionSet(params, x)
 

@@ -715,10 +715,14 @@ def test_submatmul_matches_python_ints(p, m):
     # limb one bit wider, or one GEMM past the bound, rounds a float64 sum.
     # (2, 20) and (3, 16) switch from one GEMM to limbs at k = 8193 and 5;
     # (2, 32) is the widest modulus of the uint32 tier.
-    # A one-row dst, at k = 0, 1, 64 and k_max, runs through matmul, and
-    # again with a bound, the largest entry of a @ b: on int64 one @ where
-    # that is below 2^63.  The last shape spans several row and contraction
-    # chunks.
+    # A one-row dst, at k = 0, 1, 64 and k_max, runs through matmul.  Every
+    # case runs again with a bound, the largest entry of a @ b: a one-row
+    # product is one int64 @ where that is below 2^63, and a multi-row one
+    # is one GEMM where it is below 2^53.  Two rows whose first entry of
+    # a @ b is 2^53 - 1, 2^53 or 2^53 + 1, with k past the one-GEMM
+    # length, take one GEMM, limbs and limbs: 2^53 + 1 is no float64, so
+    # one GEMM there would be wrong.  The last shape spans several row and
+    # contraction chunks.
     _check_submatmul(Residues.of(PrimePower(p, m)))
 
 
@@ -738,6 +742,16 @@ def _check_submatmul(res):
         cases.append((top, [[value]] * k))
     for k, value in itertools.product((0, 1, 64, k_max), full):
         cases.append(([[value] * k], [[value, rng.randrange(q)] for _ in range(k)]))
+    for target in (2**53 - 1, 2**53, 2**53 + 1):
+        # target = (q - 1) * sum(terms) + rest, every term at most q - 1.
+        whole, rest = divmod(target, q - 1)
+        k = whole // (q - 1) + 2
+        if res.dtype is object or k > k_max:
+            continue
+        terms = [q - 1] * (k - 2) + [whole % (q - 1)]
+        assert k > res.k_max
+        assert res.limbs(k, target) == ((1, 0) if target < 2**53 else res.limbs(k))
+        cases.append(([[q - 1] * (k - 1) + [rest], [1] * k], [[t] for t in terms + [1]]))
     rows, k, cols = 66, 130, 260
     pick = lambda: rng.choice(full) if rng.random() < 0.8 else rng.randrange(q)
     cases.append(([[pick() for _ in range(k)] for _ in range(rows)],
@@ -747,7 +761,7 @@ def _check_submatmul(res):
         dst = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
         product = np.array(a, object).reshape(rows, k) @ np.array(b, object).reshape(k, cols)
         want = (np.array(dst, object) - product) % q
-        for bound in [None] + ([max(product.flat)] if rows == 1 else []):
+        for bound in (None, max(product.flat)):
             got = np.array(dst, res.dtype)
             res.submatmul(got, np.array(a, res.dtype).reshape(rows, k),
                           np.array(b, res.dtype).reshape(k, cols), bound)
@@ -886,6 +900,62 @@ def test_bounded_back_substitution_matches_python_ints(p, m, monkeypatch):
         assert min(bounds) < 2**63 <= max(bounds), shape
         if shape == "torsion" and q > 2**46:
             assert any((q - 1) * (2 * p ** (m - v) - 1) >= 2**63 for _, v in pivots)
+
+
+def _column_by_column(prows, pivots, params):
+    """x recomputed in Python ints, one column at a time: the particular
+    solution from the rhs, then a generator seeded 1 at each free column
+    and one seeded p^(m-v) at each torsion pivot, each back-substituted on
+    its own over the nonzero entries solved so far."""
+    p, m, q = params.p, params.m, params.modulus
+    c = len(prows[0]) - 1
+    pivot_cols = {col for col, _ in pivots}
+    seeds = [(None, 0)] + [(f, 1) for f in range(c) if f not in pivot_cols]
+    seeds += [(col, p ** (m - v)) for col, v in pivots if v > 0]
+    columns = []
+    for j, (seed_col, value) in enumerate(seeds):
+        x = {seed_col: value} if j else {}
+        for row, (col, v) in zip(reversed(prows[: len(pivots)]), reversed(pivots)):
+            d = ((0 if j else row[c]) - sum(row[i] * xi for i, xi in x.items() if i > col)) % q
+            assert d % p**v == 0
+            if d:
+                x[col] = x.get(col, 0) + d // p**v
+        columns.append([x.get(i, 0) for i in range(c)])
+    return [list(row) for row in zip(*columns)], seeds
+
+
+@pytest.mark.parametrize("p,m,seed", [(2, 20, None), (5, 14, None), (3, 20, None),
+                                      (2, 8, 3), (3, 6, 4), (5, 14, 5), (3, 20, 6),
+                                      (2, 32, 7)])
+def test_back_substitution_matches_a_column_by_column_oracle(p, m, seed, monkeypatch):
+    # Every column of x, on the default dtype and on Python ints, against
+    # its own Python-int back-substitution: the seed-1 kernel systems of
+    # the benchmark moduli, and torsion-heavy systems with free columns.
+    # The solver back-substitutes the particular column, the free
+    # generators and the live torsion generators only; it must skip
+    # exactly the torsion generators whose column is their seed alone.
+    if seed is None:
+        system = _session_systems(p, m)[0]
+    else:
+        system = _shaped_system(seed, PrimePower(p, m), "torsion", rows=60)
+    params = system.params
+    prows, pivots = zpmsolve._echelon(system, Residues.of(params), OpCounter())
+    want, seeds = _column_by_column(prows.tolist(), pivots, params)
+    seed_only = sum(all(row[j] == (value if i == col else 0) for i, row in enumerate(want))
+                    for j, (col, value) in enumerate(seeds) if value not in (0, 1))
+    widths, submatmul = set(), Residues.submatmul
+
+    def record(res, dst, a, b, bound=None):
+        if sys._getframe(1).f_code.co_name == "howell_solve":
+            widths.add(b.shape[1])
+        submatmul(res, dst, a, b, bound)
+
+    monkeypatch.setattr(Residues, "submatmul", record)
+    for backend in (None, "python"):
+        widths.clear()
+        assert howell_solve(system, backend=backend).x.tolist() == want
+        assert widths == {len(seeds) - seed_only}
+    assert 0 < seed_only < sum(v > 0 for _, v in pivots)
 
 
 @pytest.mark.parametrize("p,m", [(2, 20), (3, 16), (5, 14), (5, 21), (3, 20), (2, 32)])
