@@ -4,12 +4,8 @@ ring and the attack.
 :class:`Residues` picks one dtype from (p, m): uint32 with wraparound for
 p = 2 and m <= 32, uint64 for p = 2 and m <= 64, int64 for moduli below
 2^50, and ``object`` (arbitrary-precision Python integers) otherwise.  The
-ring, the systems and the solver all hold this one dtype.
-:meth:`~Residues.submatmul` runs the solver's products of more than one
-row, and :meth:`~Residues.matmul` large multi-row ones, on float64 BLAS
-GEMMs, exact by construction; the solver's valuation bound on a product
-makes a one-row one one int64 ``@`` below 2^63, and a multi-row one one
-GEMM below 2^53.
+ring, the systems and the solver all hold this one dtype.  Products of
+more than one row run on float64 BLAS GEMMs, exact by construction.
 """
 
 from __future__ import annotations
@@ -28,12 +24,10 @@ if TYPE_CHECKING:
 
 __all__ = ["Residues"]
 
-#: Rows per GEMM of :meth:`Residues.submatmul` and of the float64
-#: :meth:`Residues.matmul`, and entries per float64 operand chunk: they
-#: bound their temporaries to a few hundred kilobytes.
-#: At m <= 20 a 32-row GEMM stays below about 10^6 multiply-adds, which
-#: OpenBLAS runs on one thread; 64 rows took two threads there, for the
-#: same wall time and twice the CPU time.
+#: Rows per GEMM and entries per float64 operand chunk, which bound the
+#: temporaries.  At m <= 20 a 32-row GEMM stays below about 10^6
+#: multiply-adds, which OpenBLAS runs on one thread; 64 rows took two
+#: threads there, for the same wall time and twice the CPU time.
 _GEMM_ROWS = 32
 _GEMM_ENTRIES = 1 << 14
 #: The fewest contraction terms per chunk: the solver's 64-column panels
@@ -45,6 +39,13 @@ _GEMM_OUTPUT = 4096
 _GEMM_ROW_WORK = 512
 #: Entries per temporary of the int64 :meth:`Residues.matmul` past one ``@``.
 _MATMUL_ENTRIES = 1 << 16
+#: The most limbs :meth:`Residues.plan` stacks: as many multiply-adds as
+#: the four GEMMs of two-limb operands.
+_STACK_LIMBS = 4
+#: The fewest int64 entries reduced as a - (a // q) q: numpy divides by a
+#: scalar through libdivide, and ``np.remainder`` does not.  On numpy
+#: 2.4.6, 17 us against 91 us at 12k entries, 1.9 us against 1.3 at 196.
+_DIVIDE = 512
 
 
 @dataclass(frozen=True)
@@ -63,42 +64,49 @@ class Residues:
     * ``object`` arrays of Python integers otherwise, or with
       ``backend="python"``.
 
-    :meth:`mul` returns reduced residues on every tier.  :meth:`submul`
-    takes a bound on its multipliers, p^(m-v) for the solver's pivot of
-    valuation v, and on every tier leaves its result unreduced, in
-    [-low, q) for the ``low`` it returns; its caller reduces an entry
-    before reading it.  Only int64 ends that range, below 2^63.
+    :meth:`mul` returns reduced residues on every tier; :meth:`submul`
+    leaves its result in [-low, q) for the ``low`` it returns.
 
     :meth:`submatmul`, dst -= a @ b, runs on float64 GEMMs for every
     machine-integer dtype.  Entries are integers in [0, q).  When a bound
     below 2^53 holds for every entry of a @ b, k (q-1)^2 for the
     contraction length k or a tighter one from the caller, every term and
-    every partial sum, all nonnegative, is an integer at most that bound,
-    so one GEMM is exact in any summation order.  A factor past 2^53
-    (uint64 past m = 53) rounds when converted, but its partners are 0, as
-    a nonzero one would put the term past the bound, and the term stays 0.
-    Otherwise each operand splits into ``count`` limbs of ``bits`` bits,
-    a = sum_i a_i 2^(bits i) with 0 <= a_i < 2^bits, and :meth:`limbs`
-    takes the fewest limbs of the widest width with
-    count * k * (2^bits - 1)^2 < 2^53.  The pairs (i, j) with
+    partial sum, all nonnegative, is an integer at most that bound, so one
+    GEMM is exact in any summation order.  A factor past 2^53 (uint64 past
+    m = 53) rounds when converted, but its partners are 0, as a nonzero one
+    would put the term past the bound.  Otherwise each operand splits into
+    ``count`` limbs of ``bits`` bits, a = sum_i a_i 2^(bits i) with
+    0 <= a_i < 2^bits, and :meth:`limbs` takes the fewest limbs of the
+    widest width with count k (2^bits - 1)^2 < 2^53.  The pairs (i, j) with
     i + j = s number at most ``count``, so their GEMMs summed in float64
-    stay exact integers below 2^53.  Recombining sum_s S_s 2^(bits s):
-    uint64 shifts with wraparound, exact mod 2^64 and so mod 2^m, and
-    drops the shifts of m bits or more; on uint32 the result then keeps
-    its low 32 bits, still exact mod 2^m.  int64 runs Horner steps by
-    2^bits mod q through :meth:`mul`.  ``object``
-    multiplies Python ints.
-    The crossover, measured on the 2-CPU host of ``BENCH_blocked_solve.json``
-    for an (r x 64) @ (64 x 337) product against ``dst -= matmul(a, b)``:
-    at q = 2^20 (one GEMM) and q = 5^14 (two limbs) the two tie at one row
-    (34 us against 32 us, 175 us against 168 us), the GEMMs win from two
-    rows, and by 12x and 26x at 64 rows.  At q = 2^32 (two limbs, three
-    GEMMs) they lose up to about eight rows, 128 us against 32 us at one
-    row.  So a one-row ``dst`` subtracts one :meth:`matmul` product
-    instead, and is reduced once.
+    stay exact below 2^53.  Recombining sum_s S_s 2^(bits s): uint64
+    shifts with wraparound, exact mod 2^m, and drops the shifts of m bits
+    or more; uint32 then keeps its low 32 bits.  int64 runs Horner steps by
+    2^bits mod q through :meth:`mul`; ``object`` multiplies Python ints.
+    A one-row ``dst`` subtracts one :meth:`matmul` product instead, reduced
+    once: for (r x 64) @ (64 x 337) the GEMMs tied at one row at 2^20 and
+    5^14, and three of them at 2^32 lost up to eight rows.
 
-    :meth:`matmul` runs large products with k <= :attr:`k_max` through
-    the same one-GEMM code.
+    The stacked kernel runs an int64 product past one GEMM, k (q-1)^2 >=
+    2^53, as one GEMM.  :meth:`stacked` splits b into ``count`` limbs of
+    ``bits`` bits and stacks the copies a 2^(bits i) mod q along the
+    contraction: a @ b = sum over i and j of (a_j 2^(bits i) mod q) times
+    limb i of b_j, mod q, count k terms.  Each term is at most
+    (2^bits - 1)(q - 1) and :meth:`plan` makes count k (2^bits - 1)(q - 1)
+    < 2^53, so every partial sum is an exact integer below 2^53.  The
+    solver stacks each pivot's limbs once its row is final; :meth:`matmul`
+    stacks large products.  The (count, bits) that k terms take:
+
+    =====  =======  =======  ==================================
+    q      k = m    k = 64   kernel
+    =====  =======  =======  ==================================
+    3^6    --       --       one GEMM: k (q-1)^2 < 2^53
+    3^16   (2, 22)  (2, 20)  stacked past k = 4
+    3^20   (3, 15)  (3, 13)  stacked
+    5^14   (3, 15)  (3, 12)  stacked
+    3^26   --       --       q-sized limbs: 14 stacked at k = m
+    5^21   --       --       q-sized limbs: none fits from 2^45
+    =====  =======  =======  ==================================
     """
 
     params: PrimePower
@@ -115,15 +123,15 @@ class Residues:
             dtype = np.uint32 if params.m <= 32 else np.uint64
             mask = dtype(q - 1)
             return cls(params, dtype, lambda a: np.bitwise_and(a, mask, out=a))
-        dtype = np.int64 if backend is None and q < 2**50 else object
-        return cls(params, dtype, lambda a: np.remainder(a, q, out=a))
+        if backend is None and q < 2**50:
+            return cls(params, np.int64, lambda a: np.remainder(a, q, out=a)
+                       if a.size < _DIVIDE else _divide(a, q))
+        return cls(params, object, lambda a: np.remainder(a, q, out=a))
 
     @cached_property
     def k_max(self) -> int:
-        """The longest contraction :meth:`matmul` runs as one float64 GEMM,
-        (2^53 - 1) // (q - 1)^2, so that k (q - 1)^2 < 2^53, on every
-        machine-integer dtype (the uint32 ring products it admits are
-        measured in :meth:`matmul`); -1 on ``object``."""
+        """The longest contraction one float64 GEMM takes,
+        (2^53 - 1) // (q - 1)^2, on machine integers; -1 on ``object``."""
         if self.dtype is object:
             return -1
         return (2**53 - 1) // (self.params.modulus - 1) ** 2
@@ -135,6 +143,17 @@ class Residues:
         if self.dtype in (np.uint32, np.uint64):
             return a & _column(self.dtype, tuple(d - 1 for d in divisors))
         return a % _column(self.dtype, divisors)
+
+    def indivisible(self, a: np.ndarray, divisors: tuple[int, ...]) -> np.ndarray:
+        """Whether each entry of row i of residues ``a`` is not a multiple of
+        divisors[i], a divisor of q.  On int64 p is odd, so d is a unit mod
+        2^64, and x = y d with 0 <= y <= (2^64 - 1) // d exactly when
+        x d^-1 mod 2^64 = y lies there, as x -> x d^-1 is one-to-one mod
+        2^64: one product and one comparison on the uint64 view."""
+        if self.dtype is not np.int64:
+            return self.rem(a, divisors) != 0
+        inverses, tops = _exact(divisors)
+        return a.view(np.uint64) * inverses > tops
 
     @cached_property
     def wide(self) -> bool:
@@ -188,11 +207,7 @@ class Residues:
         exact; where it is not (the ``wide`` tier with top near q) the
         product taken is :meth:`mul`'s, at most q - 1.  Entries then lie in
         [-(low + step), q), so ``dst`` is reduced first when low + step
-        would leave the exact range.  Only int64's ends, at 2^63: the
-        solver passes top = p^(m-v) for a pivot of valuation v, whose
-        multipliers are residues divided by p^v, so a unit pivot at
-        q = 3^19 fits six updates between reductions, and a pivot of
-        valuation 3 at 5^14 thirty.
+        would leave the exact range; only int64's ends, at 2^63.
         """
         q = self.params.modulus
         step = (q - 1) * (top - 1)
@@ -209,27 +224,16 @@ class Residues:
         """a @ b mod q for ``a`` of at least two dimensions and a matrix
         ``b``; the contraction length k is the last axis of ``a``.
 
-        When k <= :attr:`k_max`, the output has at least ``_GEMM_OUTPUT``
-        entries and each output row at least ``_GEMM_ROW_WORK``
-        multiply-adds (k w), the rows run through :meth:`submatmul`'s
-        one-GEMM code in ``_GEMM_ROWS``-row chunks: every product and
-        partial sum is an integer below 2^53, so each GEMM is exact, and its
-        float64 sums convert through uint64 or int64 before the reduction.
-        The crossover, measured on a 2-CPU host (Python 3.11, numpy 2.4,
-        best of 7) against the integer ``@`` below at k = 2 to 32 and 4000
-        to 8000 output entries, follows k w.  From k w = 512 the GEMMs won
-        every shape: 1.07x to 1.8x at k = 2 to 4, up to 7x at k = 32; at
-        k w near 400 they took 0.92x to 1.5x, and below 256 they lost, down
-        to 0.2x.  A single row loses, 15 us against 13 us for
-        (1 x 20) @ (20 x 400).  On uint32, against einsum, the attack basis
-        product (m^2 x m) @ (m x m^2) took 19.5 us against 10.8 us at
-        m = 8 and 61 us against 57 us at m = 12, then won: 159 us against
-        219 us at m = 16, 333 against 592 at m = 20, 701 against 1457 at
-        m = 24.
+        When the output has at least ``_GEMM_OUTPUT`` entries and each row
+        at least ``_GEMM_ROW_WORK`` multiply-adds (k w), the rows run through
+        :meth:`submatmul`'s one-GEMM code in ``_GEMM_ROWS``-row chunks, for
+        k <= :attr:`k_max` or on the operands of :meth:`stacked`.  From
+        k w = 512 the GEMMs beat the integer ``@`` below in every shape
+        measured, 1.07x to 7x at k = 2 to 32; a single row loses.  On
+        uint32 they beat einsum from the attack basis product at m = 16.
 
         Otherwise uint32 runs through ``np.einsum``, which vectorises 32-bit
-        lanes where integer ``@`` is a scalar loop (7.4 us against 15.2 us
-        for the solver's (1 x 63) @ (63 x 401)); wraparound mod 2^32 is
+        lanes where integer ``@`` is a scalar loop; wraparound mod 2^32 is
         exact in any summation order.  uint64 and ``object`` take one ``@``
         and one reduction.
 
@@ -244,15 +248,19 @@ class Residues:
         chunks that keep temporaries near ``_MATMUL_ENTRIES`` entries.  No
         width fits once k (q - 1) >= 2^63, which takes k > 2^13 as q < 2^50:
         the contraction then splits in two, and the sum of the two reduced
-        halves, below 2q, is reduced.  These proofs hold for every q < 2^50,
-        on both int64 tiers.
+        halves, below 2q, is reduced.
         """
         k, w = a.shape[-1], b.shape[-1]
-        if a.size * w >= _GEMM_OUTPUT * k and k * w >= _GEMM_ROW_WORK and k <= self.k_max:
-            out = np.empty(a.shape[:-1] + (w,), self.dtype)
+        gemm = a.size * w >= _GEMM_OUTPUT * k and k * w >= _GEMM_ROW_WORK
+        plan = self.plan(k) if gemm else None
+        if gemm and (k <= self.k_max or plan):
             rows = math.prod(a.shape[:-1])
-            self._gemms(out.reshape(rows, w), a.reshape(rows, k), b, assign=True)
-            return out
+            left, out = a.reshape(rows, k), np.empty((rows, w), self.dtype)
+            if plan:
+                copies, limbs = self.stacked(left, b, *plan)
+                left, b = np.concatenate(copies, axis=1), limbs.reshape(-1, w).astype(float)
+            self._gemms(out, left, b, assign=True)
+            return out.reshape(a.shape[:-1] + (w,))
         if self.dtype is np.uint32:
             return self.reduce(np.einsum("...k,kj->...j", a, b))
         count, bits = self.left_limbs(k) if self.dtype is np.int64 and k else (1, 0)
@@ -273,15 +281,14 @@ class Residues:
         """(count, bits) of the limbs the int64 :meth:`matmul` splits its
         left operand into for a contraction of length k >= 1: the widest
         ``bits`` with max(k, 2) (2^bits - 1)(q - 1) < 2^63, and the fewest
-        limbs of that width; count is 0 when no width fits.  Cached, as
-        every int64 product asks: uncached it took 0.3 us of a 3 us
-        (1 x 20) @ (20 x 37) product at q = 3^6, 2% of a (3, 6) session."""
+        limbs of that width; count is 0 when no width fits.  Cached: every
+        int64 product asks."""
         return _left_limbs(self.params.modulus, k)
 
     def _limb_matmul(self, rows, b, count: int, bits: int) -> np.ndarray:
         """rows @ b mod q from int64 products of the limbs of ``rows``."""
-        shifts = np.arange(0, count * bits, bits)[:, None, None]
-        limbs = (rows >> shifts & (1 << bits) - 1).reshape(count * len(rows), -1)
+        limbs = rows >> _shifts(count, bits, 2) & (1 << bits) - 1
+        limbs = limbs.reshape(count * len(rows), -1)
         parts = self.reduce(limbs @ b).reshape(count, len(rows), b.shape[1])
         out = parts[-1]
         for part in parts[-2::-1]:
@@ -290,13 +297,30 @@ class Residues:
             self.reduce(out)
         return out
 
+    def plan(self, k: int) -> tuple[int, int] | None:
+        """(count, bits) of :meth:`stacked` for an int64 contraction of k
+        terms past one GEMM, k (q - 1)^2 >= 2^53: the widest ``bits`` with
+        count k (2^bits - 1)(q - 1) < 2^53 for count = ceil(log2(q) / bits),
+        if count <= ``_STACK_LIMBS`` and (q - 1) 2^(bits (count - 1)) < 2^63;
+        None otherwise, and on other dtypes."""
+        if self.dtype is not np.int64 or k <= self.k_max:
+            return None
+        return _plan(self.params.modulus, k)
+
+    def stacked(self, a: np.ndarray, b: np.ndarray, count: int, bits: int):
+        """For the (count, bits) of :meth:`plan`, ``copies`` and ``limbs``
+        along a new first axis, i < count: copies[i] = a 2^(bits i) mod q,
+        and limbs[i] the i-th limb of ``bits`` bits of ``b``, low first, so
+        that the sum of copies[i] @ limbs[i] is a @ b mod q."""
+        copies = self.reduce(a << _shifts(count, bits, a.ndim))
+        limbs = b >> _shifts(count, bits, b.ndim) & (1 << bits) - 1
+        return copies, limbs
+
     def limbs(self, k: int, bound: int | None = None) -> tuple[int, int]:
         """(count, bits) of the limbs :meth:`submatmul` splits each operand
-        into for a contraction of length k: (1, 0), no split, when one
-        float64 GEMM is exact, as k <= :attr:`k_max` or the caller's
-        ``bound`` on the product's entries is below 2^53, or the dtype is
-        ``object``; else the fewest limbs of the widest width that the
-        exactness bound admits."""
+        into for a contraction of length k: (1, 0) when one GEMM is exact,
+        as k <= :attr:`k_max` or ``bound`` < 2^53, or on ``object``; else
+        the fewest limbs of the widest width the exactness bound admits."""
         if self.dtype is object or k <= self.k_max or bound is not None and bound < 2**53:
             return 1, 0
         top, bits = (self.params.modulus - 1).bit_length(), 26
@@ -311,40 +335,38 @@ class Residues:
     ) -> None:
         """dst -= a @ b mod q, in place, for reduced ``a`` (r x k), ``b``
         (k x w) and ``dst`` (r x w), on float64 GEMMs (on Python ints for
-        ``object``).
+        ``object``); int64 ``a`` and ``b`` may also be float64, as stacked
+        operands are.
 
         The work runs in chunks of at most ``_GEMM_ROWS`` rows and of a
         contraction over which ``b`` converts to at most ``_GEMM_ENTRIES``
         float64 entries, but never fewer than ``_GEMM_TERMS`` terms, so that
-        the multipliers of one elimination panel make a single pass.  A
-        one-row ``dst``, where the GEMMs lose, subtracts one product and is
-        reduced once, in every dtype: dst - a @ b is exact mod q on uint32
-        and uint64 (wraparound), on ``object``, and on int64 while it stays
-        above -2^63.  That product is :meth:`matmul`'s, below q, or, where
-        ``bound`` bounds every entry of a @ b below 2^63 on int64, one
-        int64 ``@``.  With more rows, a ``bound`` below 2^53 takes one GEMM
-        (:meth:`limbs`).  The solver takes ``bound`` from its pivots'
-        valuations.
+        one elimination panel makes a single pass.  A one-row ``dst``
+        subtracts one product and is reduced once: dst - a @ b is exact mod
+        q on uint32 and uint64 (wraparound), on ``object``, and on int64
+        above -2^63.  That product is :meth:`matmul`'s, below q, or one
+        ``@`` where ``bound`` bounds every entry of a @ b below 2^63 on
+        int64.  With more rows, a ``bound`` below 2^53 takes one GEMM.  The
+        solver takes ``bound`` from its pivots' valuations.
         """
         if len(dst) != 1:
             self._gemms(dst, a, b, bound)
             return
         if self.dtype is np.int64 and bound is not None and bound < 2**63:
-            dst -= a @ b
+            dst -= (a @ b).astype(np.int64, copy=False)
         else:
             dst -= self.matmul(a, b)
         self.reduce(dst)
 
     def _gemms(self, dst, a, b, bound=None, assign: bool = False) -> None:
         """dst -= a @ b mod q, in place, in the chunks of :meth:`submatmul`;
-        with ``assign``, dst = a @ b mod q, whatever dst held.  The first
-        chunk is written, not added onto ``np.zeros``: a fresh calloc'ed
-        page faults on the read and again on the write, and that doubled
-        the time of the attack basis product."""
+        with ``assign``, dst = a @ b mod q, written, not added onto zeros,
+        whose fresh pages would fault on the read and again on the write."""
         k, w = a.shape[1], b.shape[1]
-        step = max(_GEMM_TERMS, _GEMM_ENTRIES // max(w, 1))
+        stacked = b.dtype == np.float64  # stacked limbs: nothing to convert
+        step = max(k, 1) if stacked else max(_GEMM_TERMS, _GEMM_ENTRIES // max(w, 1))
         for s in range(0, k, step):
-            count, bits = self.limbs(min(step, k - s), bound)
+            count, bits = (1, 0) if stacked else self.limbs(min(step, k - s), bound)
             right = _split(b[s : s + step], count, bits)
             for i in range(0, len(dst), _GEMM_ROWS):
                 left = _split(a[i : i + _GEMM_ROWS, s : s + step], count, bits)
@@ -362,8 +384,7 @@ class Residues:
         mod 2^64 on uint64, mod 2^32 on uint32, and on int64 a value in
         [0, 2^63) congruent to it mod q."""
         count = len(left)
-        # Wraparound is exact mod 2^m on uint64 and uint32.  float64 sums
-        # below 2^53 convert exactly to 64 bits, and uint32 keeps the low half.
+        # float64 sums below 2^53 convert exactly; uint32 keeps the low half.
         unsigned = self.dtype in (np.uint64, np.uint32)
         acc = np.uint64 if unsigned else self.dtype
         if count == 1:
@@ -394,6 +415,39 @@ def _left_limbs(q: int, k: int) -> tuple[int, int]:
     return (-(-(q - 1).bit_length() // bits) if bits else 0), bits
 
 
+@functools.lru_cache(maxsize=1024)
+def _plan(q: int, k: int) -> tuple[int, int] | None:
+    top = (q - 1).bit_length()
+    for bits in reversed(range(1, top)):
+        count = -(-top // bits)
+        if count * k * ((1 << bits) - 1) * (q - 1) < 2**53:
+            fits = count <= _STACK_LIMBS and (q - 1) << bits * (count - 1) < 2**63
+            return (count, bits) if fits else None
+    return None
+
+
+def _divide(a: np.ndarray, q: int) -> np.ndarray:
+    """a mod q in place, for int64 ``a`` in [-2^63 + q, 2^63), as
+    a - (a // q) q, where floor(a / q) q lies in (a - q, a]."""
+    quot = a // q
+    quot *= q
+    a -= quot
+    return a
+
+
+@functools.lru_cache(maxsize=256)
+def _exact(divisors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of d^-1 mod 2^64 and of (2^64 - 1) // d for odd divisors d."""
+    inverses = tuple(pow(d, -1, 2**64) for d in divisors)
+    return _column(np.uint64, inverses), _column(np.uint64, tuple((2**64 - 1) // d for d in divisors))
+
+
+@functools.lru_cache(maxsize=256)
+def _shifts(count: int, bits: int, ndim: int) -> np.ndarray:
+    """0, bits, ..., (count - 1) bits along the first of ndim + 1 axes."""
+    return np.arange(0, count * bits, bits).reshape((count,) + (1,) * ndim)
+
+
 @functools.lru_cache(maxsize=256)
 def _column(dtype: type, values: tuple[int, ...]) -> np.ndarray:
     """``values`` as a read-only column of ``dtype``, built once."""
@@ -407,6 +461,6 @@ def _split(a: np.ndarray, count: int, bits: int) -> list[np.ndarray]:
     low limb first, as float64; when count is 1, a itself, as float64 unless
     it holds Python ints."""
     if count == 1:
-        return [a if a.dtype == object else a.astype(np.float64)]
+        return [a if a.dtype == object else a.astype(np.float64, copy=False)]
     mask = (1 << bits) - 1
     return [((a >> (bits * t)) & mask).astype(np.float64) for t in range(count)]

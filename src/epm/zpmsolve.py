@@ -19,16 +19,14 @@ only on the panel's columns, and records each pivot's multipliers.  A pivot
 row first catches up on the panel's earlier pivots in its trailing columns,
 so the completion test sees the row as the unblocked elimination would.
 After the panel, one product ``trailing -= multipliers @ pivot rows``
-brings every other row's trailing columns up to date.  The last panel also
-holds the rhs, so a system of at most ``PANEL`` columns needs no product.
-Candidate order is an index array and a pivot frees its row's slot for the
-next completion row, so no row moves.  Back-substitution runs in blocks of
-``PANEL`` pivots: the rows of the block that later blocks solved enter as
-one product, and the block's own rows are solved in turn, because a torsion
-pivot divides by p^v.  A one-column x, as without the kernel, is solved in
-Python ints, each solved entry subtracted at once from the block's earlier
-rows.  The pivot sequence, the results and the operation count are those of
-the unblocked elimination.
+brings every other row's trailing columns up to date; the last panel holds
+the rhs and needs none.  Candidate order is an index array and a pivot
+frees its row's slot for the next completion row, so no row moves.
+Back-substitution runs in blocks of ``PANEL`` pivots: the rows that later
+blocks solved enter as one product, and the block's own rows are solved in
+turn, as a torsion pivot divides by p^v; a one-column x in Python ints.
+The pivot sequence, the results and the operation count are those of the
+unblocked elimination, in every dtype of :class:`~epm.residues.Residues`.
 
 Back-substitution skips the torsion generators that are their seed alone.
 Take the one seeded p^(m-v) at the column col of a pivot of valuation v.
@@ -39,28 +37,20 @@ every later one read only its zeros past col.  If every pivot row is
 stays its seed.  Otherwise the last earlier row that is not meets a
 nonzero residue, and the generator is nonzero there: the test is exact.
 
-The arithmetic runs on :class:`~epm.residues.Residues`, in the dtype the
-system's array already holds (uint32 for p = 2, m <= 32).  The pivot
-sequence, the results and the operation count are the same in every dtype.
-
-In every dtype the rank-1 updates of a panel are subtracted unreduced
-(FFLAS's delayed reduction), and values are reduced where they are read:
-the pivot column before its pivot search, the pivot row's panel part when
-it is taken out, and the rhs before the consistency check.  uint32 and
-uint64 wrap exactly mod 2^m and Python ints do not overflow, so only int64
-bounds the deferral.  There the bounds come from the pivots' valuations,
-not from q alone (Storjohann & Mulders' valuation-aware elimination modulo
-N): a pivot of valuation v has multipliers below p^(m-v), and the panel is
-reduced only before its bound would reach 2^63 (see
-:meth:`Residues.submul`).  The pivot row's catch-up and each row of the
-kernel back-substitution pass :meth:`Residues.submatmul` the summed
-bounds of the multipliers, or of the rows of x, and on int64 it takes one
-``@`` and one reduction while that bound is below 2^63.  The trailing-panel
-and block-start products pass spread (q - 1), spread summing p^(m-v) - 1
-over the panel's pivots, and (q - 1) times the summed bounds of the rows
-of x they read; there it takes one float64 GEMM below 2^53.  In every
-dtype a completion row is p^(m-v) (x mod p^v), one reduction and one
-product below q.
+The rank-1 updates of a panel are subtracted unreduced (FFLAS's delayed
+reduction), and values are reduced where they are read: the pivot column
+before its pivot search, the pivot row's panel part when it is taken out,
+and the rhs before the consistency check.  Only int64 bounds the deferral,
+from the pivots' valuations rather than q (Storjohann & Mulders): a pivot
+of valuation v has multipliers below p^(m-v), and the panel is reduced
+before its bound would reach 2^63 (:meth:`Residues.submul`).  Products
+pass :meth:`Residues.submatmul` such bounds, from the multipliers or the
+rows of x: on int64 one row takes one ``@`` below 2^63, more rows one GEMM
+below 2^53.  With a :meth:`Residues.plan` for the panel, a pivot's
+multipliers split into limbs, each paired with the pivot row times
+2^(bits i) mod q once the row is final, so each catch-up is one ``@`` and
+each trailing update one GEMM.  A completion row is p^(m-v) (x mod p^v),
+one reduction and one product below q.
 """
 
 from __future__ import annotations
@@ -186,9 +176,8 @@ def valuation(x: int, params: PrimePower) -> int:
 class OpCounter:
     """Accumulates the solver's count of multiplications mod p^m.
 
-    The count is deterministic for a fixed input and identical in every
-    dtype the solver runs in: every row operation is charged by its slice
-    width whether or not individual entries happen to be zero.
+    The count is deterministic and the same in every dtype: each row
+    operation is charged by its slice width, zero entries included.
     """
 
     __slots__ = ("muls",)
@@ -320,17 +309,25 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
     order = np.arange(n)
     prows = np.zeros((c, c + 1), res.dtype)
     pivots = []  # (column, valuation) of prows[0], prows[1], ...
-    # mults[t, r]: the multiplier of the panel's pivot t on row r, for the
-    # GEMM that brings the trailing columns up to date after the panel.
-    mults = np.zeros((PANEL, n), res.dtype) if c > PANEL else None
+    # For the trailing GEMM, mults[l, r] multiplies row l of `stack`, the
+    # panel's pivot rows past it, into row r.  With a plan a pivot of
+    # valuation v takes limbs[v] rows, the limbs of its multipliers and its
+    # row's copies (Residues.stacked), in float64.  bounds[v] bounds their
+    # sum: a number's limbs sum to at most its value.
+    plan = res.plan(PANEL) if c > PANEL else None
+    count, bits = plan or (1, q.bit_length())
+    limbs = [-(-(p ** (m - v) - 1).bit_length() // bits) for v in range(m)]
+    bounds = [min(p ** (m - v) - 1, k * ((1 << bits) - 1)) for v, k in enumerate(limbs)]
+    mults = np.zeros((count * PANEL, n), float if plan else res.dtype) if c > PANEL else None
+    shifted = np.empty((count * PANEL, c + 1 - PANEL)) if plan else None
     for c0 in range(0, c, PANEL):
         # The last panel carries the rhs and leaves no trailing columns.
         c1 = c0 + PANEL if c0 + PANEL < c else c + 1
         trailing, first = c1 <= c, len(pivots)
-        # cand[c0:c1] lies in [-low, q): Residues.submul leaves every dtype's
-        # panel unreduced, so each read of it below reduces first.
-        # spread: the sum of p^(m-v) - 1 over the panel's pivots so far.
-        low = spread = 0
+        stack = shifted[:, : c + 1 - c1] if plan else prows[first:, c1:]
+        # cand[c0:c1] lies in [-low, q), so each read of it reduces first.
+        # mults has `used` rows so far; spread bounds their column sums.
+        low = spread = used = 0
         for col in range(c0, min(c1, c)):
             if low:
                 res.reduce(cand[col])
@@ -338,7 +335,7 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
             if found is None:
                 continue
             v, i = found
-            r, t = order[i], len(pivots) - first
+            r = order[i]
             prow = prows[len(pivots)]
             prow[col:] = cand[col:, r]
             if low:
@@ -347,26 +344,31 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
             order[i : n - 1] = order[i + 1 : n]
             order[n - 1] = r
             n -= 1
-            if trailing and mults[:t, r].any():
-                # The trailing part still lacks this panel's earlier pivots.
-                # Multiplier t' is below p^(m-v_t'), so their products with
-                # residues sum to at most spread (q - 1).
-                done = prows[first : first + t, c1:]
-                res.submatmul(prow[None, c1:], mults[None, :t, r], done, spread * (q - 1))
-                mults[:t, r] = 0
+            if trailing and mults[:used, r].any():
+                # The trailing part still lacks this panel's earlier pivots;
+                # their products with residues sum to at most spread (q - 1).
+                res.submatmul(prow[None, c1:], mults[None, :used, r], stack[:used], spread * (q - 1))
+                mults[:used, r] = 0
             pv = p**v
             unit = int(prow[col]) // pv
             if unit != 1:
                 prow[col:] = res.mul(prow[col:], pow(unit, -1, q))
-            # Zero entries get a zero multiplier rather than a skip, so the count
-            # is the elimination's full cubic operation count.
+            # Zero entries are charged too: the full cubic operation count.
             counter.add((c + 1 - col) * (1 + n))
             mult = cand[col] // pv
             top = p ** (m - v)
             low = res.submul(cand[col + 1 : c1], prow[col + 1 : c1, None], mult, top, low)
-            spread += top - 1
             if trailing:
-                mults[t] = mult
+                k = limbs[v]
+                spread += bounds[v]
+                if k > 1:
+                    stack[used : used + k], mults[used : used + k] = res.stacked(
+                        prow[c1:], mult, k, bits)
+                else:
+                    mults[used] = mult
+                    if plan:
+                        stack[used] = prow[c1:]
+                used += k
             pivots.append((col, v))
             if v > 0:
                 counter.add(c + 1 - col)
@@ -376,9 +378,8 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
                 cand[col:, r] = comp
                 n += bool(comp[1:].any())
                 del comp  # not held into the next pivot's temporaries
-        if trailing and len(pivots) > first:
-            t = len(pivots) - first
-            res.submatmul(cand[c1:], prows[first : first + t, c1:].T, mults[:t], spread * (q - 1))
+        if used:
+            res.submatmul(cand[c1:], stack[:used].T, mults[:used], spread * (q - 1))
 
     # Leftover candidates have zero coefficients: every column was either
     # pivoted (entry eliminated exactly) or skipped (entries already zero).
@@ -402,9 +403,8 @@ def howell_solve(
     solution set.  Deterministic: pivots are chosen by minimal p-adic
     valuation, earliest candidate row on ties, and the result is identical
     for every ``backend``: None takes the dtype :meth:`Residues.of` picks
-    from the modulus, "python" forces Python ints.
-    ``with_kernel=False`` skips kernel generation when only the particular
-    solution is needed.
+    from the modulus, "python" forces Python ints.  ``with_kernel=False``
+    skips the kernel.
     """
     params = system.params
     p, m, q, c = params.p, params.m, params.modulus, system.cols
@@ -426,36 +426,39 @@ def howell_solve(
     x = np.zeros((c, 1 + len(seeds)), res.dtype)
     for j, (col, value) in enumerate(seeds, start=1):
         x[col, j] = value
-    # Rows of x are at most 1 at a free column and below 2 p^(m-v) at a
-    # pivot of valuation v: the seed p^(m-v) plus a residue divided by p^v.
-    # after[j] sums those bounds over x[j:], so a row of prows times
-    # x[j:hi] is at most (after[j] - after[hi]) (q - 1).
-    divs, bounds = [1] * c, [1] * c
-    for col, v in pivots:
-        divs[col], bounds[col] = pw[v], 2 * pw[m - v] - 1
-    after = list(itertools.accumulate(reversed(bounds), initial=0))[::-1]
-    # Only the particular column, the free generators and the live torsion
-    # generators are back-substituted, as the block xs of x: a torsion
-    # generator whose column is 0 mod p^v in every pivot row is its seed
-    # (see the module docstring).  Pivot rows are zero left of their pivot,
-    # so a chunk of columns reads only the rows of the pivots left of its end.
+    # Back-substitute only the particular column, the free generators and
+    # the live torsion generators, as the block xs of x: a torsion generator
+    # whose column is 0 mod p^v in every pivot row is its seed (module
+    # docstring).  A chunk of columns reads the pivot rows left of it.
     live = [True] * (x.shape[1] - len(torsion))
     if torsion:
-        flags = []
+        flags, divs = [], [1] * c
+        for col, v in torsion:
+            divs[col] = pw[v]
         for c0 in range(0, c, PANEL):
             c1 = min(c0 + PANEL, c)
             rows = prows[: bisect.bisect_left(pivots, (c1,)), c0:c1]
-            flags += res.rem(rows.T, tuple(divs[c0:c1])).any(axis=1).tolist()
+            flags += res.indivisible(rows.T, tuple(divs[c0:c1])).any(axis=1).tolist()
         live += [flags[col] for col, _ in torsion]
-    xs = x[:, live]
-    # Blocks of PANEL pivots, last block first.  The rows of x solved by later
-    # blocks enter as one product; inside a block the rows are solved in turn.
+    xs = x if all(live) else x[:, live]
+    # Rows of x are at most 1 at a free column and below 2 p^(m-v) at a
+    # pivot of valuation v: the seed p^(m-v) plus a residue divided by p^v.
+    # after[j] sums those bounds over x[j:], so a row of prows times
+    # x[j:hi] is at most (after[j] - after[hi]) (q - 1); one block of one
+    # column reads none.
+    if len(pivots) > PANEL or xs.shape[1] > 1:
+        bounds = [1] * c
+        for col, v in pivots:
+            bounds[col] = 2 * pw[m - v] - 1
+        after = list(itertools.accumulate(reversed(bounds), initial=0))[::-1]
+    # Blocks of PANEL pivots, last block first.
     for k0 in reversed(range(0, len(pivots), PANEL)):
         k1 = min(k0 + PANEL, len(pivots))
         hi = pivots[k1][0] if k1 < len(pivots) else c
         rest = np.zeros((k1 - k0, xs.shape[1]), xs.dtype)
         rest[:, 0] = prows[k0:k1, c]
-        res.submatmul(rest, prows[k0:k1, hi:c], xs[hi:c], after[hi] * (q - 1))
+        if hi < c:
+            res.submatmul(rest, prows[k0:k1, hi:c], xs[hi:c], after[hi] * (q - 1))
         if xs.shape[1] == 1:
             _solve_column(prows, pivots, k0, k1, rest, xs, counter, params)
             continue
@@ -471,10 +474,10 @@ def howell_solve(
                     raise InconsistentSystem(f"no preimage for pivot column {col}", col)
                 d //= p**v
             xs[col] += d[0]
-    x[:, live] = xs
-    # The generators' share, charged as separate passes would be.  A torsion
-    # generator skips its own pivot row: it is zero past its seed column, so
-    # that row leaves the seed as it is.
+    if xs is not x:
+        x[:, live] = xs
+    # The generators' share, as separate passes would charge it; a torsion
+    # generator skips its own pivot row, which leaves the seed as it is.
     width = sum(c - col - 1 for col, _ in pivots)
     counter.add(width * len(seeds) - sum(c - col - 1 for col, _ in torsion))
 

@@ -768,6 +768,143 @@ def _check_submatmul(res):
             assert got.tolist() == want.tolist(), (rows, k, cols, res.limbs(k), bound)
 
 
+# --- the stacked kernel and the int64 reductions -------------------------------
+
+
+def _plan_switches(res, k_max=4096):
+    """Each k < k_max after which Residues.plan(k) takes another (count, bits)
+    or none."""
+    plans = [res.plan(k) for k in range(1, k_max + 1)]
+    return [k for k in range(1, k_max) if plans[k - 1] != plans[k]]
+
+
+@pytest.mark.parametrize("p,m", sorted(set(BOUNDARY_MODULI + WIDE_MODULI)))
+def test_stacked_products_match_python_ints(p, m):
+    # dst -= a @ b mod q through the operands of Residues.stacked, one
+    # float64 product in Residues.submatmul as the solver takes it, against
+    # Python ints: one-row and 40-row, at k = 1, 14 and 64 and on both sides
+    # of every switch of Residues.plan(k).  Row 0 of a repeats q - 1, whose
+    # copies q - 2^(bits i) are all near q, and column 0 of b repeats
+    # 2^(t - 1) - 1, t the bit length of q - 1, whose limbs are all ones
+    # but the top one: entry (0, 0) comes near the plan's bound, and with a
+    # limb one bit wider it passes 2^53 and rounds.  Residues.matmul takes
+    # the same kernel for a large product.  Only int64 past one GEMM has
+    # plans, and none from 5^21 on.
+    res = Residues.of(PrimePower(p, m))
+    q = res.params.modulus
+    ks = sorted(k for k in {1, 14, 64} | {k + d for k in _plan_switches(res) for d in (0, 1)}
+                if res.plan(k))
+    assert bool(ks) == ((p, m) in [(3, 19), (3, 20), (5, 14)])
+    rng = random.Random(q)
+    ones = 2 ** ((q - 1).bit_length() - 1) - 1
+    pick = lambda: rng.choice([0, 1, q - 1, ones, rng.randrange(q)])
+    for k, rows in itertools.product(ks, (1, 40)):
+        count, bits = res.plan(k)
+        a = [[q - 1] * k] + [[pick() for _ in range(k)] for _ in range(rows - 1)]
+        b = [[ones, pick()] for _ in range(k)]
+        dst = [[rng.randrange(q) for _ in range(2)] for _ in range(rows)]
+        want = (np.array(dst, object) - np.array(a, object) @ np.array(b, object)) % q
+        copies, limbs = res.stacked(np.array(a, np.int64), np.array(b, np.int64), count, bits)
+        left = np.concatenate(copies, axis=1).astype(float)
+        right = limbs.reshape(-1, 2).astype(float)
+        got = np.array(dst, np.int64)
+        res.submatmul(got, left, right, count * k * ((1 << bits) - 1) * (q - 1))
+        assert got.tolist() == want.tolist(), (k, rows, count, bits)
+    for k in ks[:4]:
+        a = np.array([pick() for _ in range(2 * 32 * k)], object).reshape(2, 32, k)
+        b = np.array([[pick() for _ in range(64)] for _ in range(k)], object)
+        assert res.matmul(a.astype(np.int64), b.astype(np.int64)).tolist() == (a @ b % q).tolist()
+
+
+@pytest.mark.parametrize("p,m", [(3, 19), (3, 20), (5, 14), (3, 31), (33554393, 2)])
+def test_int64_reduce_matches_remainder_across_the_divide_switch(p, m):
+    # int64 reduces large arrays as a - (a // q) q and small ones with
+    # np.remainder; both must agree with np.remainder on [-2^63 + q, 2^63),
+    # where the solver's unreduced panels lie, on both sides of 512
+    # entries, on contiguous arrays and on strided views.
+    res = Residues.of(PrimePower(p, m))
+    q = res.params.modulus
+    rng = random.Random(q)
+    edges = [-(2**63) + q, -(2**63) + q + 1, -q - 1, -q, -1, 0, 1, q - 1, q, 2**63 - 1]
+    draw = lambda: rng.choice(edges) if rng.random() < 0.3 else rng.randrange(-(2**63) + q, 2**63)
+    for size in (1, 511, 512, 513, 5000):
+        a = np.array([draw() for _ in range(2 * size)], np.int64)
+        for view in (a[:size].copy(), a[::2]):
+            want = np.remainder(view, q)
+            assert res.reduce(view) is view
+            assert view.tolist() == want.tolist(), size
+
+
+@pytest.mark.parametrize("p,m", [(3, 20), (5, 14), (3, 31)])
+def test_exact_division_test_matches_remainders(p, m):
+    # Residues.indivisible tests p^v | x on int64 by one product with the
+    # inverse of p^v mod 2^64: for every v <= m it must agree with x % p^v
+    # on multiples of p^v, their neighbours, 0, q - 1 and random residues,
+    # read through a transposed view as the solver reads its pivot rows.
+    res = Residues.of(PrimePower(p, m))
+    q = res.params.modulus
+    rng = random.Random(q)
+    divisors = tuple(p**v for v in range(m + 1))
+    rows = []
+    for d in divisors:
+        near = [d * rng.randrange(q // d) for _ in range(6)] + [q - d, d, 0]
+        rows.append([x % q for y in near for x in (y - 1, y, y + 1)]
+                    + [q - 1, 1] + [rng.randrange(q) for _ in range(20)])
+    a = np.array(rows, np.int64)
+    want = a % np.array(divisors, np.int64)[:, None] != 0
+    assert res.indivisible(a.T.copy().T, divisors).tolist() == want.tolist()
+    assert want.any() and not want.all()
+
+
+@pytest.mark.parametrize("p,m", [(5, 14), (5, 21)])
+def test_wide_attack_solve_takes_one_product_per_panel_step(p, m, monkeypatch):
+    # At 5^14 every pivot-row catch-up and trailing update of the seed-1
+    # attack solve runs on the stacked float64 operands with a bound below
+    # 2^53: a catch-up is one @, a trailing update one GEMM per 32-row chunk
+    # of one limb pair, and none reaches the limb code of Residues.matmul.
+    # No plan exists at 5^21, where they keep their int64 operands, and the
+    # catch-ups whose bound passes 2^63 take the limbs of matmul.
+    calls, callers, pairs = [], [], []
+    submatmul, matmul, combine = Residues.submatmul, Residues.matmul, Residues._combine
+
+    def record(res, dst, a, b, bound=None):
+        if res.dtype is np.int64 and sys._getframe(1).f_code.co_name == "_echelon":
+            calls.append((len(dst) > 1, a.dtype.name, b.dtype.name, bound))
+        submatmul(res, dst, a, b, bound)
+
+    def record_matmul(res, a, b):
+        if res.dtype is np.int64:
+            callers.append(sys._getframe(1).f_code.co_name)
+        return matmul(res, a, b)
+
+    def record_combine(res, left, right, bits):
+        frame = sys._getframe(1)
+        while frame and frame.f_code.co_name != "howell_solve":
+            if frame.f_code.co_name == "_echelon":
+                pairs.append(len(left))
+            frame = frame.f_back
+        return combine(res, left, right, bits)
+
+    system = _session_systems(p, m)[1]
+    monkeypatch.setattr(Residues, "submatmul", record)
+    monkeypatch.setattr(Residues, "matmul", record_matmul)
+    monkeypatch.setattr(Residues, "_combine", record_combine)
+    res = Residues.of(system.params)
+    assert howell_solve(system, with_kernel=False).x.tolist() == \
+        howell_solve(system, with_kernel=False, backend="python").x.tolist()
+    assert {multi for multi, *_ in calls} == {False, True}
+    dtypes = {(a, b) for _, a, b, _ in calls}
+    if m == 14:
+        assert (res.plan(m), res.plan(zpmsolve.PANEL)) == ((3, 15), (3, 12))
+        assert dtypes == {("float64", "float64")}
+        assert max(bound for *_, bound in calls) < 2**53
+        assert set(pairs) == {1} and "submatmul" not in callers
+    else:
+        assert res.plan(1) is None and dtypes == {("int64", "int64")}
+        assert max(bound for multi, *_, bound in calls if not multi) >= 2**63
+        assert "submatmul" in callers and max(pairs) > 1
+
+
 # --- valuation-bounded int64 products ------------------------------------------
 
 # Both int64 tiers: q just below and just above 2^31, the benchmark's 5^14,
