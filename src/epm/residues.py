@@ -418,11 +418,10 @@ def _left_limbs(q: int, k: int) -> tuple[int, int]:
 @functools.lru_cache(maxsize=1024)
 def _plan(q: int, k: int) -> tuple[int, int] | None:
     top = (q - 1).bit_length()
-    for bits in reversed(range(1, top)):
+    for bits in reversed(range(-(-top // _STACK_LIMBS), top)):
         count = -(-top // bits)
-        if count * k * ((1 << bits) - 1) * (q - 1) < 2**53:
-            fits = count <= _STACK_LIMBS and (q - 1) << bits * (count - 1) < 2**63
-            return (count, bits) if fits else None
+        if count * k * ((1 << bits) - 1) * (q - 1) < 2**53 and (q - 1) << bits * (count - 1) < 2**63:
+            return count, bits
     return None
 
 
