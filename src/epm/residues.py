@@ -39,8 +39,8 @@ _GEMM_OUTPUT = 4096
 _GEMM_ROW_WORK = 512
 #: Entries per temporary of the int64 :meth:`Residues.matmul` past one ``@``.
 _MATMUL_ENTRIES = 1 << 16
-#: The most limbs :meth:`Residues.plan` stacks: as many multiply-adds as
-#: the four GEMMs of two-limb operands.
+#: The most limbs :meth:`Residues.plan` stacks: the multiply-adds of the
+#: four GEMMs of two-limb operands.
 _STACK_LIMBS = 4
 #: The fewest int64 entries reduced as a - (a // q) q: numpy divides by a
 #: scalar through libdivide, and ``np.remainder`` does not.  On numpy
@@ -84,8 +84,7 @@ class Residues:
     or more; uint32 then keeps its low 32 bits.  int64 runs Horner steps by
     2^bits mod q through :meth:`mul`; ``object`` multiplies Python ints.
     A one-row ``dst`` subtracts one :meth:`matmul` product instead, reduced
-    once: for (r x 64) @ (64 x 337) the GEMMs tied at one row at 2^20 and
-    5^14, and three of them at 2^32 lost up to eight rows.
+    once: at 2^32 three GEMMs lost up to eight rows of (r x 64) @ (64 x 337).
 
     The stacked kernel runs an int64 product past one GEMM, k (q-1)^2 >=
     2^53, as one GEMM.  :meth:`stacked` splits b into ``count`` limbs of
@@ -145,15 +144,23 @@ class Residues:
         return a % _column(self.dtype, divisors)
 
     def indivisible(self, a: np.ndarray, divisors: tuple[int, ...]) -> np.ndarray:
-        """Whether each entry of row i of residues ``a`` is not a multiple of
-        divisors[i], a divisor of q.  On int64 p is odd, so d is a unit mod
+        """Whether entry (i, j) of residues ``a`` is not a multiple of
+        divisors[j], a divisor of q.  On int64 p is odd, so d is a unit mod
         2^64, and x = y d with 0 <= y <= (2^64 - 1) // d exactly when
-        x d^-1 mod 2^64 = y lies there, as x -> x d^-1 is one-to-one mod
-        2^64: one product and one comparison on the uint64 view."""
+        x d^-1 mod 2^64 = y lies there, as x -> x d^-1 is one-to-one."""
         if self.dtype is not np.int64:
-            return self.rem(a, divisors) != 0
-        inverses, tops = _exact(divisors)
-        return a.view(np.uint64) * inverses > tops
+            return self.rem(a.T, divisors).T != 0
+        index, inverses, tops = self._inverses
+        v = [index[d] for d in divisors]
+        return a.view(np.uint64) * inverses[v] > tops[v]
+
+    @cached_property
+    def _inverses(self) -> tuple[dict, np.ndarray, np.ndarray]:
+        """v by p^v; p^-v mod 2^64 and (2^64 - 1) // p^v by v."""
+        powers = [self.params.p**v for v in range(self.params.m + 1)]
+        inverses = np.array([pow(d, -1, 2**64) for d in powers], np.uint64)
+        tops = np.array([(2**64 - 1) // d for d in powers], np.uint64)
+        return {d: v for v, d in enumerate(powers)}, inverses, tops
 
     @cached_property
     def wide(self) -> bool:
@@ -229,8 +236,8 @@ class Residues:
         :meth:`submatmul`'s one-GEMM code in ``_GEMM_ROWS``-row chunks, for
         k <= :attr:`k_max` or on the operands of :meth:`stacked`.  From
         k w = 512 the GEMMs beat the integer ``@`` below in every shape
-        measured, 1.07x to 7x at k = 2 to 32; a single row loses.  On
-        uint32 they beat einsum from the attack basis product at m = 16.
+        measured, 1.07x to 7x at k = 2 to 32; a single row loses.  uint32
+        GEMMs beat einsum from the attack basis product at m = 16.
 
         Otherwise uint32 runs through ``np.einsum``, which vectorises 32-bit
         lanes where integer ``@`` is a scalar loop; wraparound mod 2^32 is
@@ -251,16 +258,16 @@ class Residues:
         halves, below 2q, is reduced.
         """
         k, w = a.shape[-1], b.shape[-1]
-        gemm = a.size * w >= _GEMM_OUTPUT * k and k * w >= _GEMM_ROW_WORK
-        plan = self.plan(k) if gemm else None
-        if gemm and (k <= self.k_max or plan):
-            rows = math.prod(a.shape[:-1])
-            left, out = a.reshape(rows, k), np.empty((rows, w), self.dtype)
-            if plan:
-                copies, limbs = self.stacked(left, b, *plan)
-                left, b = np.concatenate(copies, axis=1), limbs.reshape(-1, w).astype(float)
-            self._gemms(out, left, b, assign=True)
-            return out.reshape(a.shape[:-1] + (w,))
+        if a.size * w >= _GEMM_OUTPUT * k and k * w >= _GEMM_ROW_WORK:
+            plan = self.plan(k)
+            if k <= self.k_max or plan:
+                rows = math.prod(a.shape[:-1])
+                left, out = a.reshape(rows, k), np.empty((rows, w), self.dtype)
+                if plan:
+                    copies, limbs = self.stacked(left, b, *plan)
+                    left, b = np.concatenate(copies, axis=1), limbs.reshape(-1, w).astype(float)
+                self._gemms(out, left, b, assign=True)
+                return out.reshape(a.shape[:-1] + (w,))
         if self.dtype is np.uint32:
             return self.reduce(np.einsum("...k,kj->...j", a, b))
         count, bits = self.left_limbs(k) if self.dtype is np.int64 and k else (1, 0)
@@ -299,10 +306,9 @@ class Residues:
 
     def plan(self, k: int) -> tuple[int, int] | None:
         """(count, bits) of :meth:`stacked` for an int64 contraction of k
-        terms past one GEMM, k (q - 1)^2 >= 2^53: the widest ``bits`` with
-        count k (2^bits - 1)(q - 1) < 2^53 for count = ceil(log2(q) / bits),
-        if count <= ``_STACK_LIMBS`` and (q - 1) 2^(bits (count - 1)) < 2^63;
-        None otherwise, and on other dtypes."""
+        terms past one GEMM: the widest ``bits`` with count k (2^bits - 1)
+        (q - 1) < 2^53 and (q - 1) 2^(bits (count - 1)) < 2^63, for
+        count = ceil(log2(q) / bits) <= ``_STACK_LIMBS``; else None."""
         if self.dtype is not np.int64 or k <= self.k_max:
             return None
         return _plan(self.params.modulus, k)
@@ -427,23 +433,20 @@ def _plan(q: int, k: int) -> tuple[int, int] | None:
 
 def _divide(a: np.ndarray, q: int) -> np.ndarray:
     """a mod q in place, for int64 ``a`` in [-2^63 + q, 2^63), as
-    a - (a // q) q, where floor(a / q) q lies in (a - q, a]."""
-    quot = a // q
-    quot *= q
-    a -= quot
+    a - (a // q) q, where floor(a / q) q lies in (a - q, a], in blocks of
+    about ``_GEMM_ENTRIES`` entries."""
+    step = max(1, _GEMM_ENTRIES * len(a) // a.size)
+    for i in range(0, len(a), step):
+        part = a[i : i + step]
+        quot = part // q
+        quot *= q
+        part -= quot
     return a
 
 
 @functools.lru_cache(maxsize=256)
-def _exact(divisors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of d^-1 mod 2^64 and of (2^64 - 1) // d for odd divisors d."""
-    inverses = tuple(pow(d, -1, 2**64) for d in divisors)
-    return _column(np.uint64, inverses), _column(np.uint64, tuple((2**64 - 1) // d for d in divisors))
-
-
-@functools.lru_cache(maxsize=256)
 def _shifts(count: int, bits: int, ndim: int) -> np.ndarray:
-    """0, bits, ..., (count - 1) bits along the first of ndim + 1 axes."""
+    """0, bits, ..., (count - 1) bits on the first of ndim + 1 axes."""
     return np.arange(0, count * bits, bits).reshape((count,) + (1,) * ndim)
 
 
@@ -457,8 +460,8 @@ def _column(dtype: type, values: tuple[int, ...]) -> np.ndarray:
 
 def _split(a: np.ndarray, count: int, bits: int) -> list[np.ndarray]:
     """The ``count`` limbs of ``bits`` bits of a nonnegative integer array,
-    low limb first, as float64; when count is 1, a itself, as float64 unless
-    it holds Python ints."""
+    low limb first, as float64; for count 1, a itself, as float64 unless it
+    holds Python ints."""
     if count == 1:
         return [a if a.dtype == object else a.astype(np.float64, copy=False)]
     mask = (1 << bits) - 1

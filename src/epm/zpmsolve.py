@@ -429,7 +429,8 @@ def howell_solve(
     # Back-substitute only the particular column, the free generators and
     # the live torsion generators, as the block xs of x: a torsion generator
     # whose column is 0 mod p^v in every pivot row is its seed (module
-    # docstring).  A chunk of columns reads the pivot rows left of it.
+    # docstring).  A chunk of columns reads only the rows of pivots left of
+    # its end.
     live = [True] * (x.shape[1] - len(torsion))
     if torsion:
         flags, divs = [], [1] * c
@@ -438,7 +439,7 @@ def howell_solve(
         for c0 in range(0, c, PANEL):
             c1 = min(c0 + PANEL, c)
             rows = prows[: bisect.bisect_left(pivots, (c1,)), c0:c1]
-            flags += res.indivisible(rows.T, tuple(divs[c0:c1])).any(axis=1).tolist()
+            flags += res.indivisible(rows, tuple(divs[c0:c1])).any(axis=0).tolist()
         live += [flags[col] for col, _ in torsion]
     xs = x if all(live) else x[:, live]
     # Rows of x are at most 1 at a free column and below 2 p^(m-v) at a

@@ -840,19 +840,19 @@ def test_exact_division_test_matches_remainders(p, m):
     # Residues.indivisible tests p^v | x on int64 by one product with the
     # inverse of p^v mod 2^64: for every v <= m it must agree with x % p^v
     # on multiples of p^v, their neighbours, 0, q - 1 and random residues,
-    # read through a transposed view as the solver reads its pivot rows.
+    # read through a column slice as the solver reads its pivot rows.
     res = Residues.of(PrimePower(p, m))
     q = res.params.modulus
     rng = random.Random(q)
     divisors = tuple(p**v for v in range(m + 1))
-    rows = []
+    columns = []
     for d in divisors:
         near = [d * rng.randrange(q // d) for _ in range(6)] + [q - d, d, 0]
-        rows.append([x % q for y in near for x in (y - 1, y, y + 1)]
-                    + [q - 1, 1] + [rng.randrange(q) for _ in range(20)])
-    a = np.array(rows, np.int64)
-    want = a % np.array(divisors, np.int64)[:, None] != 0
-    assert res.indivisible(a.T.copy().T, divisors).tolist() == want.tolist()
+        columns.append([x % q for y in near for x in (y - 1, y, y + 1)]
+                       + [q - 1, 1] + [rng.randrange(q) for _ in range(20)])
+    a = np.array([[0, *row] for row in zip(*columns)], np.int64)[:, 1:]
+    want = a % np.array(divisors, np.int64) != 0
+    assert res.indivisible(a, divisors).tolist() == want.tolist()
     assert want.any() and not want.all()
 
 
