@@ -103,8 +103,8 @@ class Residues:
     3^16   (2, 22)  (2, 20)  stacked past k = 4
     3^20   (3, 15)  (3, 13)  stacked
     5^14   (3, 15)  (3, 12)  stacked
-    3^26   --       --       q-sized limbs: 14 stacked at k = m
-    5^21   --       --       q-sized limbs: none fits from 2^45
+    3^26   --       --       q-sized limbs: k = m needs 14 limbs
+    5^21   --       --       q-sized limbs: none fits past 2^37
     =====  =======  =======  ==================================
     """
 
