@@ -94,7 +94,7 @@ class Residues:
     (2^bits - 1)(q - 1) and :meth:`plan` makes count k (2^bits - 1)(q - 1)
     < 2^53, so every partial sum is an exact integer below 2^53.  The
     solver stacks each pivot's limbs once its row is final; :meth:`matmul`
-    stacks large products.  The (count, bits) that k terms take:
+    stacks the products past its size gate.  The (count, bits) k terms take:
 
     =====  =======  =======  ==================================
     q      k = m    k = 64   kernel
@@ -103,8 +103,8 @@ class Residues:
     3^16   (2, 22)  (2, 20)  stacked past k = 4
     3^20   (3, 15)  (3, 13)  stacked
     5^14   (3, 15)  (3, 12)  stacked
-    3^26   --       --       q-sized limbs: k = m needs 14 limbs
-    5^21   --       --       q-sized limbs: none fits past 2^37
+    3^26   --       --       q-sized limbs: a plan at k = m needs 14
+    5^21   --       --       q-sized limbs: no plan past q = 2^37
     =====  =======  =======  ==================================
     """
 
@@ -231,18 +231,18 @@ class Residues:
         """a @ b mod q for ``a`` of at least two dimensions and a matrix
         ``b``; the contraction length k is the last axis of ``a``.
 
-        When the output has at least ``_GEMM_OUTPUT`` entries and each row
-        at least ``_GEMM_ROW_WORK`` multiply-adds (k w), the rows run through
-        :meth:`submatmul`'s one-GEMM code in ``_GEMM_ROWS``-row chunks, for
-        k <= :attr:`k_max` or on the operands of :meth:`stacked`.  From
-        k w = 512 the GEMMs beat the integer ``@`` below in every shape
-        measured, 1.07x to 7x at k = 2 to 32; a single row loses.  uint32
-        GEMMs beat einsum from the attack basis product at m = 16.
+        One size gate picks the kernel.  From ``_GEMM_OUTPUT`` output
+        entries and ``_GEMM_ROW_WORK`` multiply-adds per row (k w), every
+        machine-integer dtype runs the GEMMs of :meth:`submatmul` in
+        ``_GEMM_ROWS``-row chunks, stacked where :meth:`plan` has a plan.
+        From k w = 512 the GEMMs beat the integer ``@`` below in every
+        shape measured, 1.07x to 7x at k = 2 to 32; a single row loses.
+        uint32 GEMMs beat einsum from the attack basis product at m = 16.
 
-        Otherwise uint32 runs through ``np.einsum``, which vectorises 32-bit
-        lanes where integer ``@`` is a scalar loop; wraparound mod 2^32 is
-        exact in any summation order.  uint64 and ``object`` take one ``@``
-        and one reduction.
+        Below the gate uint32 runs through ``np.einsum``, which vectorises
+        32-bit lanes where integer ``@`` is a scalar loop; wraparound mod
+        2^32 is exact in any summation order.  uint64 and ``object`` take
+        one ``@`` and one reduction.
 
         int64 takes the (count, bits) of :meth:`left_limbs` for k >= 1.
         One limb is one ``@`` and one reduction, as k = 0 is: the sum stays
@@ -253,30 +253,26 @@ class Residues:
         (q - 1)(2^bits + 1) < 2^63: for bits >= 2 that is at most twice the
         bound at k >= 2, and q < 2^50 covers bits <= 1.  The rows run in
         chunks that keep temporaries near ``_MATMUL_ENTRIES`` entries.  No
-        width fits once k (q - 1) >= 2^63, which takes k > 2^13 as q < 2^50:
-        the contraction then splits in two, and the sum of the two reduced
-        halves, below 2q, is reduced.
+        width fits once k (q - 1) >= 2^63, which takes k > 2^13 as q < 2^50,
+        and the GEMMs take the product.  Both routes to them have k >= 1
+        (k w >= 512, k > 2^13), as :meth:`_gemms` with ``assign`` leaves
+        ``out`` unwritten at k = 0.
         """
         k, w = a.shape[-1], b.shape[-1]
-        if a.size * w >= _GEMM_OUTPUT * k and k * w >= _GEMM_ROW_WORK:
-            plan = self.plan(k)
-            if k <= self.k_max or plan:
-                rows = math.prod(a.shape[:-1])
-                left, out = a.reshape(rows, k), np.empty((rows, w), self.dtype)
-                if plan:
-                    copies, limbs = self.stacked(left, b, *plan)
-                    left, b = np.concatenate(copies, axis=1), limbs.reshape(-1, w).astype(float)
-                self._gemms(out, left, b, assign=True)
-                return out.reshape(a.shape[:-1] + (w,))
+        count, bits = self.left_limbs(k) if self.dtype is np.int64 and k else (1, 0)
+        gemm = a.size * w >= _GEMM_OUTPUT * k and k * w >= _GEMM_ROW_WORK
+        if self.dtype is not object and (gemm or not count):
+            rows, plan = math.prod(a.shape[:-1]), self.plan(k)
+            left, out = a.reshape(rows, k), np.empty((rows, w), self.dtype)
+            if plan:
+                copies, limbs = self.stacked(left, b, *plan)
+                left, b = np.concatenate(copies, axis=1), limbs.reshape(-1, w).astype(float)
+            self._gemms(out, left, b, assign=True)
+            return out.reshape(a.shape[:-1] + (w,))
         if self.dtype is np.uint32:
             return self.reduce(np.einsum("...k,kj->...j", a, b))
-        count, bits = self.left_limbs(k) if self.dtype is np.int64 and k else (1, 0)
         if count == 1:
             return self.reduce(a @ b)
-        if not count:
-            out = self.matmul(a[..., : k // 2], b[: k // 2])
-            out += self.matmul(a[..., k // 2 :], b[k // 2 :])
-            return self.reduce(out)
         rows = a.reshape(math.prod(a.shape[:-1]), k)
         out = np.empty((len(rows), w), np.int64)
         nb = max(1, _MATMUL_ENTRIES // (count * max(k, w)))

@@ -355,9 +355,9 @@ def test_wide_mul_and_matmul_match_python_ints_in_bulk(p, m):
     # exercise both corrections.  The 300 x 300 contraction splits into row
     # and contraction chunks of about 2^16 products.  A sum of 20000
     # products of q - 1 overflows int64 there unless it is cut, and from
-    # 3^31 on no left-operand limb is narrow enough, so the contraction
-    # splits in two.  k = 0, which back-substitution reaches at the last
-    # column, gives zeros.
+    # 3^31 on no left-operand limb is narrow enough, so the product takes
+    # the float64 GEMMs of Residues._gemms.  k = 0, which back-substitution
+    # reaches at the last column, gives zeros.
     q = p**m
     res = Residues.of(PrimePower(p, m))
     rng = random.Random(q)
@@ -379,7 +379,7 @@ def test_wide_mul_and_matmul_match_python_ints_in_bulk(p, m):
 # --- division-free residue arithmetic ------------------------------------------
 
 # Every dtype tier, plus 3^26, whose left-operand limb count grows from 3 to
-# 6 below k = 20000 without reaching the split of the contraction.
+# 6 below k = 20000 without reaching count 0, where products take _gemms.
 ARITH_MODULI = sorted(set(BOUNDARY_MODULI + WIDE_MODULI + [(3, 26)]))
 
 
@@ -468,7 +468,7 @@ def test_unbounded_tiers_defer_a_whole_panel(p, m, monkeypatch):
 
 def _left_limb_switches(res, k_max):
     """Each k < k_max after which Residues.left_limbs(k) takes another count,
-    the switch to count 0, where the contraction splits, among them."""
+    the switch to count 0, where products take _gemms, among them."""
     counts = [res.left_limbs(k)[0] for k in range(1, k_max + 1)]
     return [k for k in range(1, k_max) if counts[k - 1] != counts[k]]
 
@@ -478,11 +478,11 @@ def test_matmul_matches_python_ints_across_limb_switches(p, m):
     # a @ b mod q at k = 0, 1, 2, 64, 20000, on both sides of the bound
     # k (q - 1)^2 < 2^63 of one int64 @ over the whole value and on both
     # sides of every switch of the left-operand limb count, the switch to
-    # the split included.  In each k x 1 case row 0 repeats a special residue
+    # count 0 included.  In each k x 1 case row 0 repeats a special residue
     # and the column repeats q - 1: with q - 1, one @ of one term more than
     # that bound overflows the int64 sum, and with the value whose low bits
     # are all set, so does a limb one bit wider than left_limbs allows.
-    # k = 20000 splits the contraction at 3^31, 5^21 and 33554393^2, and the
+    # k = 20000 takes Residues._gemms at 3^31, 5^21 and 33554393^2, and the
     # 600-row block spans several row chunks.
     params = PrimePower(p, m)
     q, special = params.modulus, _special_residues(params)
@@ -510,15 +510,66 @@ def test_matmul_matches_python_ints_across_limb_switches(p, m):
 
 
 @pytest.mark.parametrize("p,m", [(5, 21), (3, 31), (33554393, 2)])
-def test_no_left_limb_width_fits_twenty_thousand_terms(p, m):
-    # So the k = 20000 cases of the tests above split the contraction.
-    assert Residues.of(PrimePower(p, m)).left_limbs(20000) == (0, 0)
+def test_no_left_limb_width_fits_twenty_thousand_terms(p, m, monkeypatch):
+    # So the k = 20000 cases of the tests above take Residues._gemms: one
+    # call of it, and no nested matmul.
+    res = Residues.of(PrimePower(p, m))
+    q = res.params.modulus
+    assert res.left_limbs(20000) == (0, 0)
+    calls = _record_kernels(monkeypatch, "matmul", "_gemms")
+    got = res.matmul(np.full((1, 20000), q - 1), np.full((20000, 1), q - 1))
+    assert got.tolist() == [[20000 * (q - 1) ** 2 % q]]
+    assert calls == ["matmul", "_gemms"]
+
+
+def _record_kernels(monkeypatch, *names):
+    """The names of the Residues methods among ``names`` called, in order."""
+    calls = []
+
+    def wrap(name, method):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+        return record
+
+    for name in names:
+        monkeypatch.setattr(Residues, name, wrap(name, getattr(Residues, name)))
+    return calls
+
+
+# One GEMM at 2^20 and 3^6, stacked at 3^16 and 5^14, limbs of both operands
+# at 2^40, 3^26 and 5^21.
+@pytest.mark.parametrize("p,m", [(2, 20), (2, 40), (3, 6), (3, 16), (5, 14),
+                                 (3, 26), (5, 21)])
+def test_matmul_size_gate_alone_picks_the_gemms(p, m, monkeypatch):
+    # A (64 x 32) @ (32 x 64) product passes the size gate of
+    # Residues.matmul and reaches _gemms on every machine-integer dtype,
+    # whether or not a stacked plan or one GEMM fits; a one-row product
+    # does not, and int64 takes left limbs there when it needs more than one.
+    res = Residues.of(PrimePower(p, m))
+    q = res.params.modulus
+    rng = random.Random(q)
+    calls = _record_kernels(monkeypatch, "_gemms", "_limb_matmul")
+    for rows, want_calls in ((64, ["_gemms"]), (1, [])):
+        a = np.array([[rng.choice((q - 1, rng.randrange(q))) for _ in range(32)]
+                      for _ in range(rows)], object)
+        b = np.array([[rng.choice((q - 1, rng.randrange(q))) for _ in range(64)]
+                      for _ in range(32)], object)
+        calls.clear()
+        got = res.matmul(a.astype(res.dtype), b.astype(res.dtype))
+        assert got.tolist() == (a @ b % q).tolist()
+        if rows == 1 and res.dtype is np.int64 and res.left_limbs(32)[0] > 1:
+            want_calls = ["_limb_matmul"]
+        assert calls == want_calls, (rows, res.dtype)
 
 
 # Moduli whose multi-row products can take the float64 GEMMs of
 # Residues.matmul: k_max is 8192 at 2^20, 2 at 2^26, 0 at 2^32, 4 at 3^16 and
-# about 1.7e10 at 3^6.
-FLOAT_MODULI = [(2, 20), (2, 26), (2, 32), (3, 6), (3, 16)]
+# about 1.7e10 at 3^6.  It is 0 on uint64 at 2^40 and 2^64 and on the int64
+# moduli past the stacked range, 3^26, 3^31, 5^21 and 33554393^2, whose k = 1
+# shapes then straddle both size conditions.
+FLOAT_MODULI = [(2, 20), (2, 26), (2, 32), (3, 6), (3, 16), (2, 40), (2, 64),
+                (3, 26), (3, 31), (5, 21), (33554393, 2)]
 
 
 @pytest.mark.parametrize("p,m", FLOAT_MODULI)
