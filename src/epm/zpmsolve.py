@@ -14,19 +14,23 @@ with torsion.  The particular solution and every kernel generator are then
 back-substituted together as the columns of one block.
 
 One elimination routine runs on whole numpy arrays, blocked in panels of
-``PANEL`` columns.  Inside a panel it pivots and eliminates as above, but
-only on the panel's columns, and records each pivot's multipliers.  A pivot
-row first catches up on the panel's earlier pivots in its trailing columns,
+``PANEL`` columns.  A panel with trailing columns is left-looking, with
+delayed updates (FFLAS): it records each pivot's multipliers, a column
+takes the panel's earlier pivots in one product when the loop reaches it,
+and a pivot row catches up over all its remaining columns in one product,
 so the completion test sees the row as the unblocked elimination would.
-After the panel, one product ``trailing -= multipliers @ pivot rows``
-brings every other row's trailing columns up to date; the last panel holds
-the rhs and needs none.  Candidate order is an index array and a pivot
-frees its row's slot for the next completion row, so no row moves.
-Back-substitution runs in blocks of ``PANEL`` pivots: the rows that later
-blocks solved enter as one product, and the block's own rows are solved in
-turn, as a torsion pivot divides by p^v; a one-column x in Python ints.
-The pivot sequence, the results and the operation count are those of the
-unblocked elimination, in every dtype of :class:`~epm.residues.Residues`.
+After the panel one product ``trailing -= multipliers @ pivot rows``
+brings every other row up to date.  The last panel holds the rhs, has no
+trailing columns and takes its rank-1 updates eagerly.  Candidates keep
+their slots: a pivot's completion row takes its slot, and one key per slot
+(the row's index, or the next key for a completion row) breaks valuation
+ties in candidate order, so no row moves.  Back-substitution runs in
+blocks of ``PANEL`` pivots, right-looking: the rows later blocks solved and
+the block's seeds enter as one product, and each solved row, divided by
+p^v, leaves one rank-1 update on the rows above it; a one-column x is
+solved in Python ints.  The pivot sequence, the results and the operation
+count are those of the unblocked elimination, in every dtype of
+:class:`~epm.residues.Residues`.
 
 Back-substitution skips the torsion generators that are their seed alone.
 Take the one seeded p^(m-v) at the column col of a pivot of valuation v.
@@ -37,20 +41,24 @@ every later one read only its zeros past col.  If every pivot row is
 stays its seed.  Otherwise the last earlier row that is not meets a
 nonzero residue, and the generator is nonzero there: the test is exact.
 
-The rank-1 updates of a panel are subtracted unreduced (FFLAS's delayed
-reduction), and values are reduced where they are read: the pivot column
-before its pivot search, the pivot row's panel part when it is taken out,
-and the rhs before the consistency check.  Only int64 bounds the deferral,
-from the pivots' valuations rather than q (Storjohann & Mulders): a pivot
-of valuation v has multipliers below p^(m-v), and the panel is reduced
-before its bound would reach 2^63 (:meth:`Residues.submul`).  Products
-pass :meth:`Residues.submatmul` such bounds, from the multipliers or the
-rows of x: on int64 one row takes one ``@`` below 2^63, more rows one GEMM
-below 2^53.  With a :meth:`Residues.plan` for the panel, a pivot's
-multipliers split into limbs, each paired with the pivot row times
-2^(bits i) mod q once the row is final, so each catch-up is one ``@`` and
-each trailing update one GEMM.  A completion row is p^(m-v) (x mod p^v),
-one reduction and one product below q.
+Rank-1 updates are subtracted unreduced (FFLAS's delayed reduction), and
+values are reduced where they are read: the pivot column before its pivot
+search, the pivot row's panel part when it is taken out, a block's row of
+x before it is solved, and the rhs before the consistency check.  Only
+int64 bounds the deferral, from the pivots' valuations rather than q
+(Storjohann & Mulders): a pivot of valuation v has multipliers, and a
+solved row divided by p^v has entries, below p^(m-v), and the block is
+reduced before its bound would reach 2^63 (:meth:`Residues.submul`).
+Products pass :meth:`Residues.submatmul` such bounds: a panel's, spread
+(q - 1) for the multipliers' summed bounds; a block's, (q - 1) times the
+bounds of the rows of x it reads.  On int64 one row takes one ``@`` below
+2^63, more rows one GEMM below 2^53.  With a :meth:`Residues.plan` for the
+panel, or 64 (q - 1)^2 < 2^53, the panel's stacks are float64: with a plan
+a pivot's multipliers split into limbs, each paired with the pivot row
+times 2^(bits i) mod q, and every product is one exact GEMM.  int64 panels
+without float64 stacks stay eager, as their column reads would take limbs.
+A completion row is p^(m-v) (x mod p^v), one reduction and one product
+below q.
 """
 
 from __future__ import annotations
@@ -59,10 +67,17 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
+from .oracle import (
+    BRUTE_FORCE_CAP,
+    DimensionMismatch,
+    EnumerationCapExceeded,
+    _is_prime,
+    brute_solve,
+    is_solution,
+)
 from .residues import Residues
 
 __all__ = [
@@ -81,14 +96,6 @@ __all__ = [
     "BRUTE_FORCE_CAP",
 ]
 
-#: Default ceiling on the number of candidate vectors brute_solve will walk.
-BRUTE_FORCE_CAP = 1 << 24
-
-# Miller-Rabin with this fixed witness set is deterministic below the limit
-# (Sorenson & Webster); p values beyond it are rejected rather than guessed at.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
-
 
 class InconsistentSystem(Exception):
     """The linear system has no solution over Z/p^m Z.  ``column`` is the
@@ -97,41 +104,6 @@ class InconsistentSystem(Exception):
     def __init__(self, message: str, column: int | None = None):
         super().__init__(message)
         self.column = column
-
-
-class EnumerationCapExceeded(Exception):
-    """brute_solve was asked to enumerate more candidates than its cap."""
-
-
-class DimensionMismatch(ValueError):
-    """A candidate vector does not match the system's column count."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for small in _MR_WITNESSES:
-        if n == small:
-            return True
-        if n % small == 0:
-            return False
-    if n >= _MR_LIMIT:
-        raise ValueError(f"cannot certify primality of {n} deterministically")
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -276,21 +248,30 @@ class SolutionSet:
 #: Columns per elimination panel, and pivots per back-substitution block.
 PANEL = 64
 
-def _find_pivot(column, p: int):
-    """(valuation, index) of the earliest entry of minimal p-adic valuation,
-    or None when the column is zero."""
+def _find_pivot(column, keys, p: int):
+    """(valuation, slot) of the entry of minimal p-adic valuation whose slot
+    has the least key, or None when the column is zero."""
     if p == 2:
         # A bit test, as p^(v+1) overflows uint64 at m = 64; no bit: zero.
         acc = int(np.bitwise_or.reduce(column))
+        if not acc:
+            return None
         low = acc & -acc
-        return (low.bit_length() - 1, int((column & low).argmax())) if acc else None
-    if not column.any():
-        return None
-    # The gcd's valuation is the column's least; one pass finds its entry.
-    g, v = int(np.gcd.reduce(column)), 0
-    while g % p ** (v + 1) == 0:
-        v += 1
-    return v, int((column % p ** (v + 1) != 0).argmax())
+        v, hits = low.bit_length() - 1, column & low
+    else:
+        if not np.count_nonzero(column):
+            return None
+        # The gcd's valuation is the column's least; one pass finds its entries.
+        g, v = int(np.gcd.reduce(column)), 0
+        while g % p ** (v + 1) == 0:
+            v += 1
+        hits = column % p ** (v + 1) != 0
+    r = int(hits.argmax())
+    if keys[r] != r:
+        # Slot r holds a completion row; an earlier key may tie it.
+        slots = np.flatnonzero(hits)
+        r = int(slots[keys[slots].argmin()])
+    return v, r
 
 
 def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
@@ -300,92 +281,106 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
     p, m, q = system.params.p, system.params.m, system.params.modulus
     c, n = system.cols, system.rows
     # Rows are augmented: c coefficients, then the rhs.  `cand` holds them
-    # transposed, candidate row r in cand[:, r], so that each update runs
-    # along whole rows of the array.  The candidates are the rows order[:n],
-    # in candidate order; order[n:] are free slots, zero from the current
-    # column on.  A pivot frees its slot, and a completion row takes the
-    # slot at order[n].
+    # transposed, candidate r in slot cand[:, r], so that each update runs
+    # along whole rows of the array.  A pivot zeroes its slot from its
+    # column on, or fills it with its completion row.  keys[r] orders the
+    # candidates: an original row keeps its index, and each completion row
+    # takes the next key.  n counts the candidates.
     cand = system.aug.T.astype(res.dtype, order="C")
-    order = np.arange(n)
+    keys, key = np.arange(n), n
     prows = np.zeros((c, c + 1), res.dtype)
     pivots = []  # (column, valuation) of prows[0], prows[1], ...
-    # For the trailing GEMM, mults[l, r] multiplies row l of `stack`, the
-    # panel's pivot rows past it, into row r.  With a plan a pivot of
-    # valuation v takes limbs[v] rows, the limbs of its multipliers and its
-    # row's copies (Residues.stacked), in float64.  bounds[v] bounds their
-    # sum: a number's limbs sum to at most its value.
+    # A panel with trailing columns records multipliers: mults[l, r]
+    # multiplies row l of `stack`, the panel's pivot rows from c0 on, into
+    # slot r.  With a plan a pivot of valuation v takes limbs[v] rows, the
+    # limbs of its multipliers and its row's copies (Residues.stacked).
+    # With a plan or PANEL <= k_max the stacks are float64, and each product
+    # is one exact GEMM.  bounds[v] bounds the limbs' sum: a number's limbs
+    # sum to at most its value.
     plan = res.plan(PANEL) if c > PANEL else None
+    floats = c > PANEL and bool(plan or PANEL <= res.k_max)
     count, bits = plan or (1, q.bit_length())
     limbs = [-(-(p ** (m - v) - 1).bit_length() // bits) for v in range(m)]
     bounds = [min(p ** (m - v) - 1, k * ((1 << bits) - 1)) for v, k in enumerate(limbs)]
-    mults = np.zeros((count * PANEL, n), float if plan else res.dtype) if c > PANEL else None
-    shifted = np.empty((count * PANEL, c + 1 - PANEL)) if plan else None
+    mults = np.zeros((count * PANEL, n), float if floats else res.dtype) if c > PANEL else None
+    rows = np.empty((count * PANEL, c + 1)) if floats else None
     for c0 in range(0, c, PANEL):
-        # The last panel carries the rhs and leaves no trailing columns.
+        # A panel with trailing columns is left-looking: a column takes the
+        # panel's earlier pivots when the loop reaches it, and a pivot row
+        # over all its remaining columns.  The last panel carries the rhs,
+        # leaves no trailing columns and takes rank-1 updates eagerly, as
+        # int64 panels without float64 stacks do, whose column reads would
+        # take limbs; their pivot rows catch up on the trailing columns.
         c1 = c0 + PANEL if c0 + PANEL < c else c + 1
         trailing, first = c1 <= c, len(pivots)
-        stack = shifted[:, : c + 1 - c1] if plan else prows[first:, c1:]
+        left = trailing and (floats or res.dtype is not np.int64)
+        stack = rows[:, : c + 1 - c0] if floats else prows[first:, c0:]
         # cand[c0:c1] lies in [-low, q), so each read of it reduces first.
-        # mults has `used` rows so far; spread bounds their column sums.
+        # mults has `used` rows so far; spread bounds their column sums, so
+        # every product with them is at most spread (q - 1).
         low = spread = used = 0
         for col in range(c0, min(c1, c)):
-            if low:
+            if used and left:
+                res.submatmul(cand[None, col], stack[None, :used, col - c0], mults[:used],
+                              spread * (q - 1))
+            elif low:
                 res.reduce(cand[col])
-            found = _find_pivot(cand[col, order[:n]], p)
+            found = _find_pivot(cand[col], keys, p)
             if found is None:
                 continue
-            v, i = found
-            r = order[i]
+            v, r = found
             prow = prows[len(pivots)]
             prow[col:] = cand[col:, r]
+            cand[col, r] = 0
+            n -= 1
+            if used and np.count_nonzero(mults[:used, r]):
+                s0 = col + 1 if left else c1
+                res.submatmul(prow[None, s0:], mults[None, :used, r], stack[:used, s0 - c0 :],
+                              spread * (q - 1))
+                mults[:used, r] = 0
             if low:
                 res.reduce(prow[col + 1 : c1])
-            cand[col:, r] = 0
-            order[i : n - 1] = order[i + 1 : n]
-            order[n - 1] = r
-            n -= 1
-            if trailing and mults[:used, r].any():
-                # The trailing part still lacks this panel's earlier pivots;
-                # their products with residues sum to at most spread (q - 1).
-                res.submatmul(prow[None, c1:], mults[None, :used, r], stack[:used], spread * (q - 1))
-                mults[:used, r] = 0
             pv = p**v
             unit = int(prow[col]) // pv
             if unit != 1:
                 prow[col:] = res.mul(prow[col:], pow(unit, -1, q))
             # Zero entries are charged too: the full cubic operation count.
             counter.add((c + 1 - col) * (1 + n))
-            mult = cand[col] // pv
+            mult = cand[col] >> v if p == 2 else cand[col] // pv
             top = p ** (m - v)
-            low = res.submul(cand[col + 1 : c1], prow[col + 1 : c1, None], mult, top, low)
+            if not left:
+                low = res.submul(cand[col + 1 : c1], prow[col + 1 : c1, None], mult, top, low)
             if trailing:
                 k = limbs[v]
                 spread += bounds[v]
                 if k > 1:
-                    stack[used : used + k], mults[used : used + k] = res.stacked(
-                        prow[c1:], mult, k, bits)
+                    stack[used : used + k, col + 1 - c0 :], mults[used : used + k] = res.stacked(
+                        prow[col + 1 :], mult, k, bits)
                 else:
                     mults[used] = mult
-                    if plan:
-                        stack[used] = prow[c1:]
+                    if floats:
+                        stack[used, col + 1 - c0 :] = prow[col + 1 :]
                 used += k
             pivots.append((col, v))
             if v > 0:
                 counter.add(c + 1 - col)
                 # p^(m-v) x mod p^m = p^(m-v) (x mod p^v), below q: exact in
                 # every dtype, as p^v and p^(m-v) fit it.
-                comp = prow[col:] % pv * top
-                cand[col:, r] = comp
-                n += bool(comp[1:].any())
+                comp = (prow[col + 1 :] & pv - 1 if p == 2 else prow[col + 1 :] % pv) * top
+                cand[col + 1 :, r] = comp
+                keys[r], key = key, key + 1
+                n += bool(np.count_nonzero(comp))
                 del comp  # not held into the next pivot's temporaries
+            else:
+                cand[col + 1 :, r] = 0
         if used:
-            res.submatmul(cand[c1:], stack[:used].T, mults[:used], spread * (q - 1))
+            res.submatmul(cand[c1:], stack[:used, c1 - c0 :].T, mults[:used], spread * (q - 1))
 
     # Leftover candidates have zero coefficients: every column was either
     # pivoted (entry eliminated exactly) or skipped (entries already zero).
     if low:
         res.reduce(cand[c])
-    if cand[c, order[:n]].any():
+    if np.count_nonzero(cand[c]):
         raise InconsistentSystem("contradictory zero row")
     return prows, pivots
 
@@ -445,12 +440,13 @@ def howell_solve(
     # Rows of x are at most 1 at a free column and below 2 p^(m-v) at a
     # pivot of valuation v: the seed p^(m-v) plus a residue divided by p^v.
     # after[j] sums those bounds over x[j:], so a row of prows times
-    # x[j:hi] is at most (after[j] - after[hi]) (q - 1); one block of one
-    # column reads none.
+    # x[j:] is at most after[j] (q - 1); one block of one column reads
+    # none.  Before its block is solved a row of x holds its seed alone, at
+    # most seeded[j].
     if len(pivots) > PANEL or xs.shape[1] > 1:
-        bounds = [1] * c
+        bounds, seeded = [1] * c, [1] * c
         for col, v in pivots:
-            bounds[col] = 2 * pw[m - v] - 1
+            bounds[col], seeded[col] = 2 * pw[m - v] - 1, pw[m - v] if v else 0
         after = list(itertools.accumulate(reversed(bounds), initial=0))[::-1]
     # Blocks of PANEL pivots, last block first.
     for k0 in reversed(range(0, len(pivots), PANEL)):
@@ -458,23 +454,32 @@ def howell_solve(
         hi = pivots[k1][0] if k1 < len(pivots) else c
         rest = np.zeros((k1 - k0, xs.shape[1]), xs.dtype)
         rest[:, 0] = prows[k0:k1, c]
-        if hi < c:
-            res.submatmul(rest, prows[k0:k1, hi:c], xs[hi:c], after[hi] * (q - 1))
         if xs.shape[1] == 1:
+            if hi < c:
+                res.submatmul(rest, prows[k0:k1, hi:c], xs[hi:c], after[hi] * (q - 1))
             _solve_column(prows, pivots, k0, k1, rest, xs, counter, params)
             continue
-        for k in reversed(range(k0, k1)):
-            col, v = pivots[k]
+        # Right-looking: the rows later blocks solved and the block's seeds
+        # enter as one product, and each solved row, below p^(m-v) once
+        # divided by p^v, leaves one rank-1 update on the rows above it.
+        lo = pivots[k0][0]
+        span = sum(seeded[lo:hi]) + after[hi]
+        res.submatmul(rest, prows[k0:k1, lo:c], xs[lo:c], span * (q - 1))
+        low = 0
+        for j in reversed(range(k1 - k0)):
+            col, v = pivots[k0 + j]
             counter.add(c - col - 1)
-            d = rest[k - k0 : k - k0 + 1]
-            span = after[col + 1] - after[hi]
-            res.submatmul(d, prows[k : k + 1, col + 1 : hi], xs[col + 1 : hi], span * (q - 1))
+            d = rest[j]
+            if low:
+                res.reduce(d)
             if v > 0:
-                if (d % p**v).any():
+                if np.count_nonzero(d & pw[v] - 1 if p == 2 else d % pw[v]):
                     # Completion rows guarantee this never fires on kernel columns.
                     raise InconsistentSystem(f"no preimage for pivot column {col}", col)
-                d //= p**v
-            xs[col] += d[0]
+                d = d >> v if p == 2 else d // pw[v]
+            xs[col] += d
+            if j and np.count_nonzero(d):
+                low = res.submul(rest[:j], prows[k0 : k0 + j, col, None], d, pw[m - v], low)
     if xs is not x:
         x[:, live] = xs
     # The generators' share, as separate passes would charge it; a torsion
@@ -504,42 +509,3 @@ def _solve_column(prows, pivots, k0, k1, rest, x, counter, params) -> None:
         if d:
             r[:j] = [ri - a * d for ri, a in zip(r, above[j][:j])]
     x[cols, 0] = r
-
-
-def is_solution(system: ZpmSystem, x: Sequence[int]) -> bool:
-    """True iff coeffs . x = rhs holds row-wise mod p^m."""
-    if len(x) != system.cols:
-        raise DimensionMismatch(f"expected {system.cols} entries, got {len(x)}")
-    q = system.params.modulus
-    return all(
-        (sum(a * xi for a, xi in zip(row, x)) - b) % q == 0
-        for row, b in zip(system.coeffs, system.rhs)
-    )
-
-
-def brute_solve(system: ZpmSystem, cap: int = BRUTE_FORCE_CAP) -> list[tuple[int, ...]]:
-    """Every solution of the system, in lexicographic order, by enumeration.
-
-    Independent of howell_solve on purpose: this is the test oracle.  Raises
-    EnumerationCapExceeded when q^cols exceeds ``cap``.
-    """
-    q = system.params.modulus
-    c = system.cols
-    total = q**c
-    if total > cap:
-        raise EnumerationCapExceeded(f"{total} candidates exceed cap {cap}")
-
-    candidates = itertools.product(range(q), repeat=c)
-    if q <= 2**31 and c * (q - 1) ** 2 < 2**62:
-        coeffs = np.array(system.coeffs, dtype=np.int64)
-        rhs = np.array(system.rhs, dtype=np.int64)
-        sols = []
-        while True:
-            batch = list(itertools.islice(candidates, 1 << 16))
-            if not batch:
-                return sols
-            arr = np.array(batch, dtype=np.int64)
-            ok = ((arr @ coeffs.T - rhs) % q == 0).all(axis=1)
-            sols.extend(tuple(int(v) for v in row) for row in arr[ok])
-
-    return [x for x in candidates if is_solution(system, x)]

@@ -145,25 +145,77 @@ def _random_system(rng, p_choices=(2, 3), max_m=3, max_dim=3):
     return ZpmSystem(params, coeffs, rhs)
 
 
+# Hand-built systems mod 8 whose pivot search meets completion rows.  In the
+# first, row 1 pivots column 0 at valuation 1, and its completion row
+# 4 (row 1 mod 2) = (0, 4, 0 | 0) ties row 2 at valuation 2 in column 1:
+# row 2, an original row, comes first.  In the second, row 0 pivots column 0
+# at valuation 2, and its completion row 2 (row 0 mod 4) = (0, 0, 4 | 0) is
+# the only candidate left that is nonzero in column 2, so it is that
+# column's pivot.  Each comes with its (column, valuation) pivots.
+SLOT_KEY_SYSTEMS = [
+    (ZpmSystem(PrimePower(2, 3), ((4, 6, 5), (2, 7, 4), (0, 4, 4)), (6, 2, 0)),
+     [(0, 1), (1, 2), (2, 0)]),
+    (ZpmSystem(PrimePower(2, 3), ((4, 4, 2), (0, 4, 0), (4, 1, 2)), (4, 4, 1)),
+     [(0, 2), (1, 0), (2, 2)]),
+]
+
+
+def _reference_echelon(system):
+    """The pivot rows and (column, valuation) pivots of the unblocked
+    elimination in Python ints, its candidates kept in a list: the original
+    rows in order, each completion row appended."""
+    p, m, q = system.params.p, system.params.m, system.params.modulus
+    rows = [[*coeffs, b] for coeffs, b in zip(system.coeffs, system.rhs)]
+    prows, pivots = [], []
+    for col in range(system.cols):
+        vals = [valuation(row[col], system.params) for row in rows]
+        v = min(vals, default=m)
+        if v == m:
+            continue
+        row = rows.pop(vals.index(v))
+        unit = pow(row[col] // p**v, -1, q)
+        row = [x * unit % q for x in row]
+        rows = [[(x - r[col] // p**v * y) % q for x, y in zip(r, row)] for r in rows]
+        if v:
+            rows.append([x % p**v * p ** (m - v) for x in row])
+        prows.append(row)
+        pivots.append((col, v))
+    return prows, pivots
+
+
+def _check_against_oracle(system):
+    """Check the solve of ``system`` against brute_solve; True when it is
+    inconsistent."""
+    oracle = set(brute_solve(system))
+    try:
+        sol = howell_solve(system)
+    except InconsistentSystem:
+        assert not oracle
+        _check_one_column_solves(system, None)
+        return True
+    assert spanned_solutions(sol) == oracle
+    _check_one_column_solves(system, sol)
+    for gen in sol.kernel:
+        homogeneous = ZpmSystem(system.params, system.coeffs, (0,) * system.rows)
+        assert is_solution(homogeneous, gen)
+    return False
+
+
 def test_solver_matches_brute_force_oracle():
     rng = random.Random(20240521)
-    inconsistent = 0
-    for _ in range(250):
-        system = _random_system(rng)
-        oracle = set(brute_solve(system))
-        try:
-            sol = howell_solve(system)
-        except InconsistentSystem:
-            inconsistent += 1
-            assert not oracle
-            _check_one_column_solves(system, None)
-            continue
-        assert spanned_solutions(sol) == oracle
-        _check_one_column_solves(system, sol)
-        for gen in sol.kernel:
-            homogeneous = ZpmSystem(system.params, system.coeffs, (0,) * system.rows)
-            assert is_solution(homogeneous, gen)
+    inconsistent = sum(_check_against_oracle(_random_system(rng)) for _ in range(250))
     assert inconsistent > 10  # the sample must actually exercise both paths
+    # The hand-built systems also keep the reference's pivots, and so its x,
+    # on the default dtype and on Python ints.
+    for system, pivots in SLOT_KEY_SYSTEMS:
+        assert not _check_against_oracle(system)
+        prows, want = _reference_echelon(system)
+        assert want == pivots
+        x = _column_by_column(prows, pivots, system.params)[0]
+        for backend in (None, "python"):
+            got = zpmsolve._echelon(system, Residues.of(system.params, backend), OpCounter())
+            assert (got[0][: len(pivots)].tolist(), got[1]) == (prows, pivots)
+            assert howell_solve(system, backend=backend).x.tolist() == x
 
 
 @settings(max_examples=60, deadline=None)
@@ -431,8 +483,11 @@ def test_unbounded_tiers_defer_a_whole_panel(p, m, monkeypatch):
     # uint32, uint64 and object need no mid-panel reduction: 64 rank-1
     # updates, multipliers as large as a unit pivot's, go through one
     # panel unreduced, and one reduction gives Python ints' values.  A
-    # 72-column solve, whose first panel takes 64 unit pivots the same way,
-    # is checked against the system in Python ints.
+    # 128-column solve, whose last panel takes 64 unit pivots the same way,
+    # is checked against the system in Python ints.  Its first panel has
+    # trailing columns and is left-looking: each column after the first
+    # takes one product with the panel's pivot rows, and no rank-1 update;
+    # the last panel takes no product.
     params = PrimePower(p, m)
     q = params.modulus
     res = Residues.of(params)
@@ -457,9 +512,12 @@ def test_unbounded_tiers_defer_a_whole_panel(p, m, monkeypatch):
         return submul(res, dst, a, b, top, low)
 
     monkeypatch.setattr(Residues, "submul", record)
-    system = _shaped_system(9, params, "unit")
+    products = _record_echelon_products(monkeypatch)
+    system = _shaped_system(9, params, "unit", rows=136, cols=128)
     sol = howell_solve(system)
-    assert calls[:65].count(0) == 2 and calls[64] == 0  # one run of 64 updates
+    assert len(calls) == 64 and calls[0] == 0 and all(calls[1:])  # one run of 64 updates
+    assert [col for kind, col in products if kind == "column"] == list(range(1, 64))
+    assert max(col for _, col in products) < 64 and products[-1][0] == "trailing"
     assert is_solution(system, sol.particular)
     coeffs = [[int(e) for e in line] for line in system.coeffs]
     for gen in sol.kernel:
@@ -650,11 +708,23 @@ def _reference_pivot(column, params):
 @example(case=(PrimePower(3, 32), [9, 3**31, 3, 6, 0]))
 def test_find_pivot_for_odd_p_matches_valuation(case):
     # (valuation, index) of the earliest entry of least valuation, or None
-    # for a zero column, on the dtype Residues.of picks and on object.
+    # for a zero column, on the dtype Residues.of picks and on object, when
+    # every slot holds its original row (key = index).  When the first half
+    # of the slots hold completion rows, keyed after every original row in
+    # reverse slot order, the least key wins among the least valuations.
     params, column = case
     want = _reference_pivot(column, params)
+    n = len(column)
+    keys = np.arange(n)
+    reordered = keys.copy()
+    reordered[: n // 2] = 2 * n - keys[: n // 2]
+    if want is not None:
+        ties = [i for i, x in enumerate(column) if x and valuation(x, params) == want[0]]
+        tie_break = (want[0], min(ties, key=lambda i: reordered[i]))
     for dtype in {Residues.of(params).dtype, object}:
-        assert zpmsolve._find_pivot(np.array(column, dtype), params.p) == want
+        assert zpmsolve._find_pivot(np.array(column, dtype), keys, params.p) == want
+        got = zpmsolve._find_pivot(np.array(column, dtype), reordered, params.p)
+        assert got == (None if want is None else tie_break)
 
 
 # --- the panel-blocked solve and its float64 GEMM -----------------------------
@@ -735,10 +805,12 @@ def test_wide_systems_agree_across_backends(modulus, cols, extra, seed):
 @pytest.mark.parametrize("panel", [1, 2])
 def test_brute_force_oracle_holds_over_narrow_panels(panel, monkeypatch):
     # Panels of one or two columns put the oracle's systems of up to three
-    # columns over several panels, so the pivot-row catch-up, the trailing
-    # product and the blocked back-substitution are all checked against
-    # brute_solve; each system is also solved with with_kernel=False, whose
-    # one-column back-substitution then spans several blocks.
+    # columns over several panels, so the left-looking column reads, the
+    # pivot-row catch-up, the trailing product and the blocked
+    # back-substitution are all checked against brute_solve, and the slot
+    # keys against the reference's candidate order; each system is also
+    # solved with with_kernel=False, whose one-column back-substitution then
+    # spans several blocks.
     monkeypatch.setattr(zpmsolve, "PANEL", panel)
     test_solver_matches_brute_force_oracle()
     test_solver_oracle_property()
@@ -915,12 +987,18 @@ def test_wide_attack_solve_takes_one_product_per_panel_step(p, m, monkeypatch):
     # of one limb pair, and none reaches the limb code of Residues.matmul.
     # No plan exists at 5^21, where they keep their int64 operands, and the
     # catch-ups whose bound passes 2^63 take the limbs of matmul.
-    calls, callers, pairs = [], [], []
+    # The panels with trailing columns are left-looking on the float64
+    # stacks: each column after the panel's first pivot reads one product,
+    # the last panel none.  At 5^21 every panel keeps its rank-1 updates.
+    calls, callers, pairs, columns = [], [], [], []
     submatmul, matmul, combine = Residues.submatmul, Residues.matmul, Residues._combine
 
     def record(res, dst, a, b, bound=None):
-        if res.dtype is np.int64 and sys._getframe(1).f_code.co_name == "_echelon":
+        frame = sys._getframe(1)
+        if res.dtype is np.int64 and frame.f_code.co_name == "_echelon":
             calls.append((len(dst) > 1, a.dtype.name, b.dtype.name, bound))
+            if len(dst) == 1 and np.shares_memory(dst, frame.f_locals["cand"]):
+                columns.append(frame.f_locals["col"])
         submatmul(res, dst, a, b, bound)
 
     def record_matmul(res, a, b):
@@ -937,10 +1015,16 @@ def test_wide_attack_solve_takes_one_product_per_panel_step(p, m, monkeypatch):
         return combine(res, left, right, bits)
 
     system = _session_systems(p, m)[1]
+    res = Residues.of(system.params)
+    panel, c = zpmsolve.PANEL, system.cols
+    firsts = {}
+    for col, _ in zpmsolve._echelon(system, res, OpCounter())[1]:
+        firsts.setdefault(col // panel, col)
+    reads = [col for col in range((c - 1) // panel * panel)
+            if col // panel in firsts and col > firsts[col // panel]]
     monkeypatch.setattr(Residues, "submatmul", record)
     monkeypatch.setattr(Residues, "matmul", record_matmul)
     monkeypatch.setattr(Residues, "_combine", record_combine)
-    res = Residues.of(system.params)
     assert howell_solve(system, with_kernel=False).x.tolist() == \
         howell_solve(system, with_kernel=False, backend="python").x.tolist()
     assert {multi for multi, *_ in calls} == {False, True}
@@ -950,7 +1034,9 @@ def test_wide_attack_solve_takes_one_product_per_panel_step(p, m, monkeypatch):
         assert dtypes == {("float64", "float64")}
         assert max(bound for *_, bound in calls) < 2**53
         assert set(pairs) == {1} and "submatmul" not in callers
+        assert columns == reads and len(reads) > 100
     else:
+        assert columns == [] and len(reads) > 100
         assert res.plan(1) is None and dtypes == {("int64", "int64")}
         assert max(bound for multi, *_, bound in calls if not multi) >= 2**63
         assert "submatmul" in callers and max(pairs) > 1
@@ -983,6 +1069,25 @@ def _shaped_system(seed, params, shape, consistent=True, rows=80, cols=72):
         coeffs = block(rows, cols)
     rhs = coeffs @ block(cols, 1)[:, 0] % q if consistent else block(rows, 1)[:, 0]
     return ZpmSystem(params, coeffs, rhs)
+
+
+def _record_echelon_products(monkeypatch):
+    """Record (kind, column) of every Residues.submatmul call of _echelon:
+    "column" where a left-looking panel reads a candidate column, "catch-up"
+    for a pivot row, "trailing" for a panel's trailing update."""
+    products, submatmul = [], Residues.submatmul
+
+    def record(res, dst, a, b, bound=None):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_echelon":
+            kind = "trailing" if len(dst) > 1 else "catch-up"
+            if kind == "catch-up" and np.shares_memory(dst, frame.f_locals["cand"]):
+                kind = "column"
+            products.append((kind, frame.f_locals["col"]))
+        submatmul(res, dst, a, b, bound)
+
+    monkeypatch.setattr(Residues, "submatmul", record)
+    return products
 
 
 def _echelon_outcome(system, backend):
@@ -1031,17 +1136,19 @@ def test_deferred_panel_reductions_match_python_ints(p, m, shape):
 def test_unit_pivots_at_three_to_the_nineteen_reduce_mid_panel(monkeypatch):
     """Forces the mid-panel reduction: a unit pivot at q = 3^19 subtracts
     products up to (q - 1)^2, about 1.35e18, so six updates fit below 2^63
-    and Residues.submul reduces the panel block before every seventh."""
+    and Residues.submul reduces the panel block before every seventh.  The
+    rank-1 updates are the last panel's, columns 64 to 83: the first panel
+    has trailing columns and is left-looking on float64 stacks."""
     params = PrimePower(3, 19)
     q = params.modulus
     calls = _record_submul(monkeypatch)
-    system = _shaped_system(5, params, "unit", rows=70, cols=70)
+    system = _shaped_system(5, params, "unit", rows=90, cols=84)
     assert _echelon_outcome(system, None) == _echelon_outcome(system, "python")
     assert (2**63 - 1) // (q - 1) ** 2 == 6
     # The bound after each update, in steps of (q - 1)^2: back to one step
     # after every sixth.
     steps = [out // (q - 1) ** 2 for top, _, out in calls if top == q]
-    assert steps[:14] == [1, 2, 3, 4, 5, 6] * 2 + [1, 2]
+    assert len(calls) == 20 and steps == [1, 2, 3, 4, 5, 6] * 3 + [1, 2]
 
 
 @pytest.mark.parametrize("p,m", [(5, 21), (3, 31), (33554393, 2)])
@@ -1061,31 +1168,55 @@ def test_unit_pivots_near_two_to_the_fifty_take_reduced_products(p, m, monkeypat
 
 @pytest.mark.parametrize("p,m", WIDE_MODULI)
 def test_bounded_back_substitution_matches_python_ints(p, m, monkeypatch):
-    # A kernel row's product is one int64 @ while the rows of x it reads,
-    # below 2 at a free column and below 2 p^(m-v) at a pivot of valuation
-    # v, bound it below 2^63.  Torsion-only blocks (v >= 1) take it where
-    # the valuations are high; a block holding a unit pivot (v = 0) falls
-    # back above it.  At 5^21 and 3^31, (q - 1) 2 p^(m-v) passes 2^63 for
-    # small v even without a unit pivot.  x must match Python ints.
+    # A block of a kernel solve is right-looking.  Its seeds enter in one
+    # product with the rows of x that later blocks solved.  Its bound is
+    # (q - 1) times the bounds of the rows of x it reads: in the block, 1 at
+    # a free column, the seed p^(m-v) at a torsion pivot, 0 at a unit pivot;
+    # past it, 1 at a free column and 2 p^(m-v) - 1 at a pivot.  Each solved
+    # row but the block's first, divided by p^v, is below p^(m-v) and leaves
+    # one rank-1 update on the rows above it, through Residues.submul with
+    # that bound.  At 5^21 and 3^31, (q - 1) 2 p^(m-v) passes 2^63 for small
+    # v even without a unit pivot.  x must match Python ints.
     params = PrimePower(p, m)
-    q = params.modulus
-    bounds, submatmul = [], Residues.submatmul
+    q, panel = params.modulus, zpmsolve.PANEL
+    bounds, updates = [], []
+    submatmul, submul = Residues.submatmul, Residues.submul
 
     def record(res, dst, a, b, bound=None):
         caller = sys._getframe(1).f_code.co_name
-        if res.dtype is np.int64 and bound is not None and caller == "howell_solve":
+        if res.dtype is np.int64 and caller == "howell_solve":
             bounds.append(bound)
         submatmul(res, dst, a, b, bound)
 
+    def record_update(res, dst, a, b, top, low=0):
+        frame = sys._getframe(1)
+        if res.dtype is np.int64 and frame.f_code.co_name == "howell_solve":
+            updates.append((frame.f_locals["col"], top))
+        return submul(res, dst, a, b, top, low)
+
     monkeypatch.setattr(Residues, "submatmul", record)
+    monkeypatch.setattr(Residues, "submul", record_update)
     for shape in ("unit", "torsion"):
         bounds.clear()
+        updates.clear()
         # Fewer rows than columns leave free columns, so x has kernel columns.
         system = _shaped_system(p + m, params, shape, rows=60)
         pivots = _echelon_outcome(system, None)[0][1]
         assert (min(v for _, v in pivots) == 0) == (shape == "unit")
         assert _full_outcome(system, None) == _full_outcome(system, "python")
-        assert min(bounds) < 2**63 <= max(bounds), shape
+        c, vals = system.cols, dict(pivots)
+        seeded = [p ** (m - vals[j]) if vals.get(j) else int(j not in vals) for j in range(c)]
+        solved = [2 * p ** (m - vals[j]) - 1 if j in vals else 1 for j in range(c)]
+        want = []
+        for k0 in reversed(range(0, len(pivots), panel)):
+            lo, hi = pivots[k0][0], pivots[k0 + panel][0] if k0 + panel < len(pivots) else c
+            want.append((sum(seeded[lo:hi]) + sum(solved[hi:])) * (q - 1))
+        assert bounds == want, shape
+        # Solved rows update the rows above them, last row first.
+        cols = [col for col, _ in updates]
+        assert cols == sorted(set(cols), reverse=True) and len(cols) > 40
+        assert not {pivots[k0][0] for k0 in range(0, len(pivots), panel)} & set(cols)
+        assert all(top == p ** (m - vals[col]) for col, top in updates)
         if shape == "torsion" and q > 2**46:
             assert any((q - 1) * (2 * p ** (m - v) - 1) >= 2**63 for _, v in pivots)
 
