@@ -844,8 +844,10 @@ def test_submatmul_matches_python_ints(p, m):
     # is one GEMM where it is below 2^53.  Two rows whose first entry of
     # a @ b is 2^53 - 1, 2^53 or 2^53 + 1, with k past the one-GEMM
     # length, take one GEMM, limbs and limbs: 2^53 + 1 is no float64, so
-    # one GEMM there would be wrong.  The last shape spans several row and
-    # contraction chunks.
+    # one GEMM there would be wrong.  The last multi-column shape spans
+    # several row and contraction chunks; a one-column dst, as a k x 1 case
+    # or a 64-row (64 x 327) @ (327 x 1), runs through matmul as one row
+    # does.
     _check_submatmul(Residues.of(PrimePower(p, m)))
 
 
@@ -879,6 +881,10 @@ def _check_submatmul(res):
     pick = lambda: rng.choice(full) if rng.random() < 0.8 else rng.randrange(q)
     cases.append(([[pick() for _ in range(k)] for _ in range(rows)],
                   [[pick() for _ in range(cols)] for _ in range(k)]))
+    # A one-column block-start product of the back-substitution, which
+    # takes the one-row path.
+    cases.append(([[pick() for _ in range(327)] for _ in range(64)],
+                  [[pick()] for _ in range(327)]))
     for a, b in cases:
         rows, k, cols = len(a), len(b), len(b[0]) if b else 1
         dst = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
