@@ -14,14 +14,16 @@ with torsion.  The particular solution and every kernel generator are then
 back-substituted together as the columns of one block.
 
 One elimination routine runs on whole numpy arrays, blocked in panels of
-``PANEL`` columns.  A panel with trailing columns is left-looking, with
-delayed updates (FFLAS): it records each pivot's multipliers, a column
+``PANEL`` columns.  A panel with trailing columns and float64 stacks
+(below) is left-looking, with delayed updates (FFLAS): it records each pivot's multipliers, a column
 takes the panel's earlier pivots in one product when the loop reaches it,
 and a pivot row catches up over all its remaining columns in one product,
 so the completion test sees the row as the unblocked elimination would.
 After the panel one product ``trailing -= multipliers @ pivot rows``
 brings every other row up to date.  The last panel holds the rhs, has no
-trailing columns and takes its rank-1 updates eagerly.  Candidates keep
+trailing columns and takes its rank-1 updates eagerly, as panels without
+float64 stacks do; their pivot rows catch up on the trailing columns
+alone.  Candidates keep
 their slots: a pivot's completion row takes its slot, and one key per slot
 (the row's index, or the next key for a completion row) breaks valuation
 ties in candidate order, so no row moves.  Back-substitution runs in
@@ -55,8 +57,10 @@ bounds of the rows of x it reads.  On int64 one row takes one ``@`` below
 2^63, more rows one GEMM below 2^53.  With a :meth:`Residues.plan` for the
 panel, or 64 (q - 1)^2 < 2^53, the panel's stacks are float64: with a plan
 a pivot's multipliers split into limbs, each paired with the pivot row
-times 2^(bits i) mod q, and every product is one exact GEMM.  int64 panels
-without float64 stacks stay eager, as their column reads would take limbs.
+times 2^(bits i) mod q, and every product is one exact GEMM.  uint32
+past m = 23, int64 from about 2^36 (3^23, 5^16), uint64 and ``object``
+have none: their column reads would take limbs or Python ints, and
+left-looking read slower at 3^31 and 5^21.
 A completion row is p^(m-v) (x mod p^v), one reduction and one product
 below q.
 """
@@ -305,15 +309,15 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
     mults = np.zeros((count * PANEL, n), float if floats else res.dtype) if c > PANEL else None
     rows = np.empty((count * PANEL, c + 1)) if floats else None
     for c0 in range(0, c, PANEL):
-        # A panel with trailing columns is left-looking: a column takes the
-        # panel's earlier pivots when the loop reaches it, and a pivot row
-        # over all its remaining columns.  The last panel carries the rhs,
-        # leaves no trailing columns and takes rank-1 updates eagerly, as
-        # int64 panels without float64 stacks do, whose column reads would
-        # take limbs; their pivot rows catch up on the trailing columns.
+        # A panel with trailing columns and float64 stacks is left-looking:
+        # a column takes the panel's earlier pivots when the loop reaches
+        # it, and a pivot row over all its remaining columns.  Other panels
+        # take rank-1 updates eagerly: the last, which carries the rhs and
+        # leaves no trailing columns, and those without float64 stacks,
+        # whose pivot rows catch up on the trailing columns alone.
         c1 = c0 + PANEL if c0 + PANEL < c else c + 1
         trailing, first = c1 <= c, len(pivots)
-        left = trailing and (floats or res.dtype is not np.int64)
+        left = trailing and floats
         stack = rows[:, : c + 1 - c0] if floats else prows[first:, c0:]
         # cand[c0:c1] lies in [-low, q), so each read of it reduces first.
         # mults has `used` rows so far; spread bounds their column sums, so
@@ -346,7 +350,7 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
                 prow[col:] = res.mul(prow[col:], pow(unit, -1, q))
             # Zero entries are charged too: the full cubic operation count.
             counter.add((c + 1 - col) * (1 + n))
-            mult = cand[col] >> v if p == 2 else cand[col] // pv
+            mult = cand[col] // pv
             top = p ** (m - v)
             if not left:
                 low = res.submul(cand[col + 1 : c1], prow[col + 1 : c1, None], mult, top, low)
@@ -366,7 +370,7 @@ def _echelon(system: ZpmSystem, res: Residues, counter: OpCounter):
                 counter.add(c + 1 - col)
                 # p^(m-v) x mod p^m = p^(m-v) (x mod p^v), below q: exact in
                 # every dtype, as p^v and p^(m-v) fit it.
-                comp = (prow[col + 1 :] & pv - 1 if p == 2 else prow[col + 1 :] % pv) * top
+                comp = res.rem(prow[None, col + 1 :], (pv,))[0] * top
                 cand[col + 1 :, r] = comp
                 keys[r], key = key, key + 1
                 n += bool(np.count_nonzero(comp))
@@ -473,10 +477,10 @@ def howell_solve(
             if low:
                 res.reduce(d)
             if v > 0:
-                if np.count_nonzero(d & pw[v] - 1 if p == 2 else d % pw[v]):
+                if np.count_nonzero(res.rem(d[None], (pw[v],))):
                     # Completion rows guarantee this never fires on kernel columns.
                     raise InconsistentSystem(f"no preimage for pivot column {col}", col)
-                d = d >> v if p == 2 else d // pw[v]
+                d = d // pw[v]
             xs[col] += d
             if j and np.count_nonzero(d):
                 low = res.submul(rest[:j], prows[k0 : k0 + j, col, None], d, pw[m - v], low)
