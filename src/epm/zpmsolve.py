@@ -15,18 +15,18 @@ back-substituted together as the columns of one block.
 
 One elimination routine runs on whole numpy arrays, blocked in panels of
 ``PANEL`` columns.  A panel with trailing columns and float64 stacks
-(below) is left-looking, with delayed updates (FFLAS): it records each pivot's multipliers, a column
-takes the panel's earlier pivots in one product when the loop reaches it,
-and a pivot row catches up over all its remaining columns in one product,
-so the completion test sees the row as the unblocked elimination would.
-After the panel one product ``trailing -= multipliers @ pivot rows``
-brings every other row up to date.  The last panel holds the rhs, has no
-trailing columns and takes its rank-1 updates eagerly, as panels without
-float64 stacks do; their pivot rows catch up on the trailing columns
-alone.  Candidates keep
-their slots: a pivot's completion row takes its slot, and one key per slot
-(the row's index, or the next key for a completion row) breaks valuation
-ties in candidate order, so no row moves.  Back-substitution runs in
+(below) is left-looking, with delayed updates (FFLAS): it records each
+pivot's multipliers, a column takes the panel's earlier pivots in one
+product when the loop reaches it, and a pivot row catches up over all its
+remaining columns in one product, so the completion test sees the row as
+the unblocked elimination would.  After the panel one product
+``trailing -= multipliers @ pivot rows`` brings every other row up to
+date.  The last panel holds the rhs, has no trailing columns and takes its
+rank-1 updates eagerly, as panels without float64 stacks do; their pivot
+rows catch up on the trailing columns alone.  Candidates keep their
+slots: a pivot's completion row takes its slot, and one key per slot (the
+row's index, or the next key for a completion row) breaks valuation ties
+in candidate order, so no row moves.  Back-substitution runs in
 blocks of ``PANEL`` pivots, right-looking: the rows later blocks solved and
 the block's seeds enter as one product, and each solved row, divided by
 p^v, leaves one rank-1 update on the rows above it; a one-column x is
